@@ -244,12 +244,14 @@ def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["vertex", "cluster"])
-        for v in range(g.n):
-            w.writerow([int(g.id_map[v]), int(assignment[v])])
+        w.writerows(zip(g.id_map.tolist(), assignment.tolist(), strict=True))
 
 
 def read_assignment(g: Graph, path, k: int) -> np.ndarray:
-    """Inverse of write_assignment; validates coverage and cluster range."""
+    """
+    Inverse of write_assignment; validates coverage, cluster range and
+    that no vertex has two rows.
+    """
     label_to_dense = {int(lbl): i for i, lbl in enumerate(g.id_map)}
     assignment = np.full(g.n, -1, dtype=np.int64)
     with open(path, newline="") as fh:
@@ -265,7 +267,10 @@ def read_assignment(g: Graph, path, k: int) -> np.ndarray:
                 raise ValueError(f"{path}: unknown vertex label {vlabel}")
             if not 0 <= c < k:
                 raise ValueError(f"{path}: cluster {c} out of range [0,{k})")
-            assignment[label_to_dense[vlabel]] = c
+            v = label_to_dense[vlabel]
+            if assignment[v] >= 0:
+                raise ValueError(f"{path}: duplicate row for vertex label {vlabel}")
+            assignment[v] = c
     if (assignment < 0).any():
         missing = int((assignment < 0).sum())
         raise ValueError(f"{path}: {missing} vertices missing an assignment")

@@ -7,6 +7,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+_PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings held at once
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class EdgeListParseError(ValueError):
     """Raised on a malformed edge-list line; carries the 1-based line number."""
@@ -62,6 +65,14 @@ class Graph:
         return np.column_stack([u[keep], v[keep]])
 
 
+def _run_starts(sorted_arr: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    starts = np.empty(len(sorted_arr), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=starts[1:])
+    return starts
+
+
 def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     """
     Build a Graph from an (E, 2) array of vertex labels.
@@ -70,31 +81,39 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     symmetrized. Labels are densified to [0, n); the sorted original
     labels become id_map unless one is supplied (then labels are taken
     as already-dense indices into it).
+
+    One sort of the 1-D key u*n + v over both directions of every edge
+    dedups the edges and yields the CSR arrays: the sorted distinct keys
+    divmod n are (row, column) in row-major order. u*n + v < n**2 fits
+    int64 for any n < 3e9.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if id_map is None:
-        labels, dense = np.unique(edges.ravel(), return_inverse=True)
+        flat = edges.ravel()
+        order = np.argsort(flat)
+        starts = _run_starts(flat[order])
+        id_map = flat[order[starts]]
+        n = len(id_map)
+        dense = np.empty_like(flat)
+        dense[order] = np.cumsum(starts) - 1
         edges = dense.reshape(-1, 2)
-        id_map = labels
-        n = len(labels)
     else:
         id_map = np.asarray(id_map)
         n = len(id_map)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint outside [0, n)")
 
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    if edges.size == 0 and n == 0:
+    u, v = edges[:, 0], edges[:, 1]
+    not_loop = u != v
+    u, v = u[not_loop], v[not_loop]
+    if len(u) == 0 and n == 0:
         raise EmptyGraphError("no edges remain after preprocessing")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    uniq = np.unique(np.column_stack([lo, hi]), axis=0)
-    m = len(uniq)
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    key = key[_run_starts(key)]
+    m = len(key) // 2
 
-    src = np.concatenate([uniq[:, 0], uniq[:, 1]])
-    dst = np.concatenate([uniq[:, 1], uniq[:, 0]])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    src, indices = np.divmod(key, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     indices.setflags(write=False)
@@ -112,20 +131,19 @@ def restrict_to_lcc(g: Graph) -> Graph:
     keep_comp = np.argmax(np.bincount(comp, minlength=ncomp))
     keep = np.flatnonzero(comp == keep_comp)
     edges = g.edge_array()
-    mask = np.isin(edges[:, 0], keep) & np.isin(edges[:, 1], keep)
+    # no edge crosses components, so one endpoint decides
+    mask = comp[edges[:, 0]] == keep_comp
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     sub = remap[edges[mask]]
     return from_edges(sub, id_map=g.id_map[keep])
 
 
-def load_edge_list(path, lcc: bool = True) -> Graph:
+def _scan_edge_lines(path) -> list[tuple[int, int]]:
     """
-    Load a whitespace-separated "u v" edge list ('#' lines are comments).
-
-    Multiple edges, self loops and edge directions are collapsed to a
-    simple undirected graph; with lcc=True (the default for file input)
-    the graph is restricted to its largest connected component.
+    Line-by-line parse that reports the 1-based line of the first bad row:
+    a token count other than two, a non-integer, a negative, or a label
+    beyond int64.
     """
     rows = []
     with open(path) as fh:
@@ -140,12 +158,54 @@ def load_edge_list(path, lcc: bool = True) -> Graph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListParseError(path, lineno, line.rstrip("\n")) from None
-            if u < 0 or v < 0:
+            if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
                 raise EdgeListParseError(path, lineno, line.rstrip("\n"))
             rows.append((u, v))
-    if not rows:
+    return rows
+
+
+def _parse_edge_rows(path) -> np.ndarray | None:
+    """
+    (E, 2) int64 rows of an edge list, converted by numpy in blocks of
+    lines; None if any row is malformed.
+    """
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    with open(path) as fh:
+        while lines := fh.readlines(_PARSE_BLOCK_CHARS):
+            body = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+            if not body:
+                continue
+            if set(map(len, map(str.split, body))) != {2}:
+                return None
+            tokens = "\n".join(body).split()
+            try:
+                block = np.array(tokens, dtype=np.int64).reshape(-1, 2)
+            except (ValueError, OverflowError):  # non-integer or beyond int64
+                return None
+            if block.min() < 0:
+                return None
+            blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def load_edge_list(path, lcc: bool = True) -> Graph:
+    """
+    Load a whitespace-separated "u v" edge list ('#' lines are comments).
+
+    Multiple edges, self loops and edge directions are collapsed to a
+    simple undirected graph; with lcc=True (the default for file input)
+    the graph is restricted to its largest connected component.
+
+    Rows are converted by numpy in blocks; if any row is malformed
+    (token count, non-integer, negative, int64 overflow) the file is
+    rescanned line by line to name the first bad line.
+    """
+    edges = _parse_edge_rows(path)
+    if edges is None:
+        edges = np.array(_scan_edge_lines(path), dtype=np.int64).reshape(-1, 2)
+    if len(edges) == 0:
         raise EmptyGraphError(f"{path}: no edges found")
-    g = from_edges(np.array(rows, dtype=np.int64))
+    g = from_edges(edges)
     if g.m == 0:
         raise EmptyGraphError(f"{path}: empty graph after preprocessing")
     if lcc:
@@ -157,5 +217,5 @@ def save_edge_list(g: Graph, path) -> None:
     """Write one "u v" line per edge, in original labels."""
     edges = g.id_map[g.edge_array()]
     with open(path, "w") as fh:
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n"
+                      for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()))

@@ -33,16 +33,17 @@ class ObjectiveConfig:
     marginal_mode: str = "derivative"
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        if not self.nu >= 1:  # NaN fails every comparison
+            raise ValueError(f"nu must be >= 1 (inf disables the cap), got {self.nu}")
         if self.size_mode not in SIZE_MODES:
             raise ValueError(f"size_mode must be one of {SIZE_MODES}")
         if self.marginal_mode not in MARGINAL_MODES:
             raise ValueError(f"marginal_mode must be one of {MARGINAL_MODES}")
-        if self.alpha != AUTO and not float(self.alpha) > 0:
-            raise ValueError(f"alpha must be positive or 'auto', got {self.alpha}")
+        if self.alpha != AUTO and not 0 < float(self.alpha) < math.inf:
+            raise ValueError(
+                f"alpha must be finite and positive or 'auto', got {self.alpha}")
 
     def resolve(self, g: Graph, k: int) -> "ObjectiveConfig":
         """Return a copy with a numeric alpha."""

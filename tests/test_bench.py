@@ -163,6 +163,13 @@ def test_assignment_round_trip(tmp_path):
     assert np.array_equal(back, a)
 
 
+def test_write_assignment_bytes(tmp_path):
+    g = graph_from_pairs([(2**40, 7), (7, 100)])
+    p = tmp_path / "assign.csv"
+    write_assignment(g, np.array([2, 0, 1]), p)
+    assert p.read_bytes() == b"vertex,cluster\r\n7,2\r\n100,0\r\n1099511627776,1\r\n"
+
+
 def test_assignment_validation(tmp_path):
     g = graph_from_pairs([(0, 1), (1, 2)])
     p = tmp_path / "assign.csv"
@@ -178,6 +185,9 @@ def test_assignment_validation(tmp_path):
     p.write_text("id,cluster\n")
     with pytest.raises(ValueError):
         read_assignment(g, p, 2)  # wrong header
+    p.write_text("vertex,cluster\n0,0\n1,1\n2,0\n1,0\n")
+    with pytest.raises(ValueError, match="duplicate row for vertex label 1"):
+        read_assignment(g, p, 2)  # last row must not silently win
 
 
 def test_eval_assignment_metrics(tmp_path, two_triangles):

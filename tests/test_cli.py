@@ -107,3 +107,12 @@ def test_missing_graph_file_reports_error(capsys):
                           "--k", "2")
     assert code == 1
     assert "error:" in stderr
+
+
+def test_nan_gamma_reports_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    save_edge_list(graph_from_pairs([(i, i + 1) for i in range(10)]), graph)
+    code, _, stderr = run(capsys, "partition", "--graph", str(graph),
+                          "--k", "2", "--gamma", "nan")
+    assert code == 1
+    assert "error:" in stderr and "gamma must be finite" in stderr

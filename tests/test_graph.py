@@ -1,10 +1,76 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut.graph import (EdgeListParseError, EmptyGraphError, from_edges,
                              load_edge_list, restrict_to_lcc, save_edge_list)
 from conftest import graph_from_pairs, random_gnp
+
+# sha256 of the (indptr, indices, id_map) bytes of generated graphs: a change
+# to the build must leave every array bit-identical
+GOLDEN_BUILDS = {
+    ("hp", 1): ("5706ea21169e442ac1b9548a0d1db29a701488d3265b9a514f46c75bb429a241",
+                "7724fa278b7f1aa3fa20d6d0865d7b4fb2bdcace47845e20efd97db1c0870ba1",
+                "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241"),
+    ("hp", 2): ("ec621aeb44af275a0f35b7cc9cebfbd6332a0a91eeccc9e57214ee6695584ad9",
+                "7a2837135bd3f1962b09d477feadaa96f7c552966d0a56e0429efa555dd68e91",
+                "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241"),
+    ("cl", 1): ("41bd50928b107af13a7888858a37d7c96f3d4949d33b6f59ec9caaea37634854",
+                "445c340ec87759ea63d6851b28ec47b99d1a2980d6e922f04e24023181a30edf",
+                "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290"),
+    ("cl", 2): ("ec0df2c4092704012263e0ddb7c3a8be826ca5f58a8b2863a5b603907c995867",
+                "44f6fd70823f19a7a9fd846b00313d36edd9b8a0626a51cdbbc8d5715d2c341e",
+                "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290"),
+}
+
+
+def reference_build(pairs, id_map=None):
+    """Pure-Python from_edges: (labels, m, sorted adjacency lists)."""
+    if id_map is None:
+        labels = sorted({x for pair in pairs for x in pair})
+        dense = {x: i for i, x in enumerate(labels)}
+        pairs = [(dense[u], dense[v]) for u, v in pairs]
+    else:
+        labels = list(id_map)
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    adj = [[] for _ in labels]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return labels, len(edges), [sorted(a) for a in adj]
+
+
+def assert_matches_reference(g, pairs, id_map=None):
+    labels, m, adj = reference_build(pairs, id_map)
+    assert g.id_map.tolist() == labels
+    assert (g.n, g.m) == (len(labels), m)
+    assert [g.neighbors(v).tolist() for v in range(g.n)] == adj
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+
+
+@st.composite
+def labelled_pairs(draw):
+    """Edge lists over a few labels up to 2**62; about a quarter are all self loops."""
+    pool = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=12, unique=True))
+    label = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=60))
+    if draw(st.sampled_from([False, False, False, True])):
+        pairs = [(u, u) for u, _ in pairs]
+    return pairs
+
+
+@st.composite
+def dense_pairs_with_id_map(draw):
+    """Dense edge lists into an explicit id_map that may leave vertices isolated."""
+    n = draw(st.integers(1, 20))
+    id_map = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n, unique=True))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    return pairs, id_map
 
 
 def test_triangle_basics(triangle):
@@ -82,6 +148,35 @@ def test_csr_invariants_random_edge_lists(pairs):
         assert v not in nb
 
 
+@given(labelled_pairs())
+@settings(max_examples=150, deadline=None)
+def test_from_edges_matches_reference_on_labels(pairs):
+    g = from_edges(np.array(pairs, dtype=np.int64))
+    assert g.id_map.dtype == np.int64
+    assert_matches_reference(g, pairs)
+
+
+@given(dense_pairs_with_id_map())
+@settings(max_examples=150, deadline=None)
+def test_from_edges_matches_reference_with_id_map(case):
+    pairs, id_map = case
+    g = from_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                   id_map=np.array(id_map, dtype=np.int64))
+    assert_matches_reference(g, pairs, id_map)
+
+
+@pytest.mark.parametrize("model,seed", sorted(GOLDEN_BUILDS))
+def test_generated_graph_arrays_match_golden(model, seed):
+    if model == "hp":
+        g, _ = generate_hp(HpParams(300, 4, .5, .1, seed))
+    else:
+        g = generate_cl(ClParams(2000, 2.5, seed=seed))
+    arrays = (g.indptr, g.indices, g.id_map)
+    assert all(a.dtype == np.int64 for a in arrays)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) \
+        == GOLDEN_BUILDS[model, seed]
+
+
 def test_lcc_keeps_largest_component():
     g = graph_from_pairs([(0, 1), (1, 2), (2, 0), (10, 11)])
     sub = restrict_to_lcc(g)
@@ -127,6 +222,34 @@ def test_edge_list_rejects_negatives_and_empty(tmp_path):
     empty.write_text("# only a comment\n")
     with pytest.raises(EmptyGraphError):
         load_edge_list(empty)
+
+
+def test_edge_list_parse_errors_name_first_bad_line(tmp_path):
+    """Every malformed-row kind, also past the first block of lines, names its line."""
+    good = "".join(f"{i} {i + 1}\n" for i in range(40_000))
+    # "1 2 3" then "4": two tokens a line on average, neither line well formed
+    for bad in ("1 2 3", "7", "1 2 3\n4", "1 x", "1.0 2", "3 -4", f"0 {2**63}"):
+        p = tmp_path / "bad.txt"
+        p.write_text("# header\n" + good + bad + "\n5 6\n")
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(p)
+        assert err.value.lineno == 40_002
+        assert repr(bad.split("\n")[0]) in str(err.value)
+
+
+def test_edge_list_accepts_int_syntax_and_largest_label(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text(f"  +1\t2 \r\n2 1_0\n\n# c\n{2**63 - 1} 1\n")
+    g = load_edge_list(p, lcc=False)
+    assert g.id_map.tolist() == [1, 2, 10, 2**63 - 1]
+    assert g.m == 3
+
+
+def test_save_edge_list_bytes(tmp_path):
+    g = graph_from_pairs([(100, 7), (7, 2**40), (100, 100), (2**40, 100), (7, 100)])
+    p = tmp_path / "g.txt"
+    save_edge_list(g, p)
+    assert p.read_bytes() == b"7 100\n7 1099511627776\n100 1099511627776\n"
 
 
 def test_save_uses_original_labels(tmp_path):

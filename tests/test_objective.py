@@ -44,6 +44,19 @@ def test_config_validation(kwargs):
         ObjectiveConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(gamma=math.nan), dict(gamma=math.inf), dict(gamma=-math.inf),
+    dict(nu=math.nan), dict(alpha=math.nan), dict(alpha=math.inf)])
+def test_config_rejects_non_finite(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ObjectiveConfig(**kwargs)
+
+
+def test_config_allows_infinite_nu():
+    assert ObjectiveConfig(nu=math.inf).nu == math.inf
+
+
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_discrete_marginal_matches_cost_difference(gamma):
     cfg = ObjectiveConfig(gamma=gamma, alpha=0.7, marginal_mode="discrete")
