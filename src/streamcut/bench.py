@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from .metrics import (CSV_COLUMNS, RunResult, compute_lambda, compute_rho,
                       aggregate_rows, error_row, evaluate_run, result_to_row)
 from .objective import ObjectiveConfig, build_snapshot, eval_f, eval_g
 from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
-from .stream import ORDER_KINDS, make_stream
+from .stream import ORDER_KINDS, StreamPlan, make_stream
 
 
 class BenchSpecError(ValueError):
@@ -166,7 +167,8 @@ class _GraphCache:
         self.lcc = lcc
         self._cache: dict[tuple, Graph] = {}
 
-    def get(self, spec: str, k: int, seed: int) -> tuple[Graph, str]:
+    def get(self, spec: str, k: int, seed: int) -> tuple[Graph, str, tuple]:
+        """(graph, display name, cache key) of the instance a run needs."""
         kind, kv = _parse_graph_spec(spec)
         if kind == "path":
             key = (spec,)
@@ -192,17 +194,19 @@ class _GraphCache:
                                   i0=int(kv["i0"]) if "i0" in kv else None,
                                   seed=seed)
                 self._cache[key] = generate_cl(params)
-        return self._cache[key], name
+        return self._cache[key], name, key
 
 
 def run_bench(spec: BenchSpec):
     """
     Execute the matrix sequentially in deterministic order and write the
     CSV: one row per run, then mean/std aggregate rows per group. Failures
-    become error rows; the matrix keeps going.
+    become error rows; the matrix keeps going. Runs on one graph instance
+    with the same order and seed share one (read-only) arrival sequence.
     """
     spec.validate()
     cache = _GraphCache(spec.lcc)
+    plans: dict[tuple, StreamPlan] = {}
     rows: list[list[str]] = []
     results: list[RunResult] = []
     for gspec in spec.graphs:
@@ -213,12 +217,14 @@ def run_bench(spec: BenchSpec):
                         for seed in spec.seeds:
                             name = gspec
                             try:
-                                g, name = cache.get(gspec, k, seed)
+                                g, name, gkey = cache.get(gspec, k, seed)
                                 config = ObjectiveConfig(
                                     gamma=gamma, alpha=spec.alpha, nu=spec.nu,
                                     size_mode=spec.size_mode,
                                     marginal_mode=spec.marginal_mode)
-                                plan = make_stream(g, order, seed)
+                                if (gkey, order, seed) not in plans:
+                                    plans[gkey, order, seed] = make_stream(g, order, seed)
+                                plan = plans[gkey, order, seed]
                                 snap, stats = partition_stream(
                                     g, plan, k, heuristic, config, seed,
                                     tie_policy=spec.tie_policy)
@@ -250,27 +256,42 @@ def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
 def read_assignment(g: Graph, path, k: int) -> np.ndarray:
     """
     Inverse of write_assignment; validates coverage, cluster range and
-    that no vertex has two rows.
+    that no vertex has two rows. A bad row is reported by the first
+    offending row in file order.
     """
-    label_to_dense = {int(lbl): i for i, lbl in enumerate(g.id_map)}
-    assignment = np.full(g.n, -1, dtype=np.int64)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["vertex", "cluster"]:
+    with open(path) as fh, warnings.catch_warnings():
+        if next(csv.reader([fh.readline()])) != ["vertex", "cluster"]:
             raise ValueError(f"{path}: expected header vertex,cluster")
-        for row in reader:
-            if not row:
-                continue
-            vlabel, c = int(row[0]), int(row[1])
-            if vlabel not in label_to_dense:
-                raise ValueError(f"{path}: unknown vertex label {vlabel}")
-            if not 0 <= c < k:
-                raise ValueError(f"{path}: cluster {c} out of range [0,{k})")
-            v = label_to_dense[vlabel]
-            if assignment[v] >= 0:
-                raise ValueError(f"{path}: duplicate row for vertex label {vlabel}")
-            assignment[v] = c
+        warnings.simplefilter("ignore", UserWarning)  # a file without rows
+        try:
+            rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except ValueError as ex:
+            raise ValueError(f"{path}: {ex}") from None
+    if rows.size and rows.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns, got {rows.shape[1]}")
+    labels, clusters = rows.reshape(-1, 2).T
+    # dense id of each label, looked up in id_map sorted (it need not be)
+    order = np.argsort(g.id_map, kind="stable")
+    ids = g.id_map[order]
+    dense = np.searchsorted(ids, labels)
+    known = dense < g.n
+    known[known] = ids[dense[known]] == labels[known]
+    dense[known] = order[dense[known]]
+    dense[~known] = -1
+    by_vertex = np.argsort(dense, kind="stable")  # file order within one vertex
+    repeated = np.zeros(len(labels), dtype=bool)
+    repeated[by_vertex[1:]] = dense[by_vertex[1:]] == dense[by_vertex[:-1]]
+    bad = ~known | (clusters < 0) | (clusters >= k) | repeated
+    if bad.any():
+        r = int(bad.argmax())
+        vlabel, c = int(labels[r]), int(clusters[r])
+        if not known[r]:
+            raise ValueError(f"{path}: unknown vertex label {vlabel}")
+        if not 0 <= c < k:
+            raise ValueError(f"{path}: cluster {c} out of range [0,{k})")
+        raise ValueError(f"{path}: duplicate row for vertex label {vlabel}")
+    assignment = np.full(g.n, -1, dtype=np.int64)
+    assignment[dense] = clusters
     if (assignment < 0).any():
         missing = int((assignment < 0).sum())
         raise ValueError(f"{path}: {missing} vertices missing an assignment")

@@ -40,11 +40,12 @@ def _load(args):
 
 
 def cmd_partition(args) -> int:
+    config = _config(args)  # flags fail before the graph is read
     g = _load(args)
+    config = config.resolve(g, args.k)
     plan = make_stream(g, args.order, args.seed)
-    snap, stats = partition_stream(g, plan, args.k, args.heuristic, _config(args),
+    snap, stats = partition_stream(g, plan, args.k, args.heuristic, config,
                                    args.seed, tie_policy=args.tie_policy)
-    config = _config(args).resolve(g, args.k)
     lam = compute_lambda(g, snap)
     rho = compute_rho(snap, g.n, args.k)
     print(f"n={g.n} m={g.m} k={args.k} heuristic={args.heuristic} order={args.order} "
@@ -75,21 +76,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    config = _config(args)
     g = _load(args)
-    metrics = bench_mod.eval_assignment(g, args.assignment, args.k, _config(args))
+    metrics = bench_mod.eval_assignment(g, args.assignment, args.k, config)
     print(f"n={g.n} m={g.m} k={args.k} lambda={metrics['lambda']:.6f} "
           f"rho={metrics['rho']:.6f} f={metrics['f']:.6f} g={metrics['g']:.6f}")
     return 0
 
 
 def cmd_oracle(args) -> int:
+    if args.pairwise and args.alpha == "auto":
+        raise ValueError("pairwise oracle needs an explicit --alpha")
+    config = None if args.pairwise else _config(args)
     g = _load(args)
     if args.pairwise:
-        if args.alpha == "auto":
-            raise ValueError("pairwise oracle needs an explicit --alpha")
         res = brute_force_pair_optimal(g, args.k, float(args.alpha))
     else:
-        res = brute_force_optimal(g, args.k, _config(args))
+        res = brute_force_optimal(g, args.k, config)
     print(f"best_f={res.best_f:.6f} best_g={res.best_g:.6f} "
           f"best_g_shifted={res.best_g_shifted:.6f} "
           f"enumerated={res.partitions_enumerated}")

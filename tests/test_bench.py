@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import streamcut.bench as bench_mod
 from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              parse_bench_spec, read_assignment, run_bench,
                              write_assignment)
-from streamcut.graph import save_edge_list
+from streamcut.graph import from_edges, save_edge_list
 from streamcut.metrics import CSV_COLUMNS
 from streamcut.objective import ObjectiveConfig
 from conftest import graph_from_pairs
@@ -137,6 +138,25 @@ def test_bench_csv_identical_up_to_runtime(tmp_path):
         assert r1 == r2
 
 
+def test_bench_shares_one_stream_per_graph_order_and_seed(tmp_path, monkeypatch):
+    """Runs that differ only in k, gamma or heuristic reuse one arrival order."""
+    made = []
+    real = bench_mod.make_stream
+
+    def counting(g, order, seed):
+        made.append((order, seed))
+        return real(g, order, seed)
+
+    monkeypatch.setattr(bench_mod, "make_stream", counting)
+    out = tmp_path / "res.csv"
+    spec = write_spec(tmp_path, text=SPEC_TEXT.replace("hp:n=80,k=2", "hp:n=80,k=match"),
+                      out=str(out))
+    results = run_bench(parse_bench_spec(spec))
+    assert len(results) == 64
+    # hp instances per (k, seed) and cl instances per seed, times two orders
+    assert sorted(made) == sorted([(o, s) for o in ("random", "bfs") for s in (1, 2)] * 3)
+
+
 def test_bench_path_graph_round_trip(tmp_path):
     g = graph_from_pairs([(i, i + 1) for i in range(39)])
     gp = tmp_path / "g.txt"
@@ -188,6 +208,36 @@ def test_assignment_validation(tmp_path):
     p.write_text("vertex,cluster\n0,0\n1,1\n2,0\n1,0\n")
     with pytest.raises(ValueError, match="duplicate row for vertex label 1"):
         read_assignment(g, p, 2)  # last row must not silently win
+    # two faults in one file: the earlier row is the one reported
+    for body, msg in [("5,0\n0,0\n1,9\n2,0\n", "unknown vertex label 5"),
+                      ("0,0\n1,9\n5,0\n2,0\n", r"cluster 9 out of range \[0,2\)"),
+                      ("0,0\n0,1\n1,-1\n7,0\n", "duplicate row for vertex label 0"),
+                      ("0,0\n1,0\n\n2,3\n1,1\n", "cluster 3 out of range")]:
+        p.write_text("vertex,cluster\n" + body)
+        with pytest.raises(ValueError, match=msg):
+            read_assignment(g, p, 2)
+    for body in ["0,0\n1,x\n2,0\n", "0,0\n1\n2,0\n", "0,0,1\n1,1,1\n2,0,0\n"]:
+        p.write_text("vertex,cluster\n" + body)
+        with pytest.raises(ValueError, match="assign.csv"):
+            read_assignment(g, p, 2)  # malformed rows name the file
+
+
+@pytest.mark.parametrize("id_map", [[10, 1000, 2**40, 2**40 + 1, 7],
+                                    [2**40, 7, 1000, 10, 2**40 + 1]])
+def test_assignment_round_trip_non_contiguous_labels(tmp_path, id_map):
+    """Sparse labels, given in sorted or arbitrary order, and rows in any order."""
+    g = from_edges(np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
+                   id_map=np.array(id_map, dtype=np.int64))
+    a = np.array([2, 0, 1, 1, 0])
+    p = tmp_path / "assign.csv"
+    write_assignment(g, a, p)
+    assert np.array_equal(read_assignment(g, p, 3), a)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+    assert np.array_equal(read_assignment(g, p, 3), a)
+    p.write_text("vertex,cluster\n")
+    with pytest.raises(ValueError, match="5 vertices missing"):
+        read_assignment(g, p, 3)
 
 
 def test_eval_assignment_metrics(tmp_path, two_triangles):

@@ -1,3 +1,5 @@
+import pytest
+
 from streamcut.cli import main
 from streamcut.graph import load_edge_list, save_edge_list
 from conftest import graph_from_pairs
@@ -116,3 +118,19 @@ def test_nan_gamma_reports_error(tmp_path, capsys):
                           "--k", "2", "--gamma", "nan")
     assert code == 1
     assert "error:" in stderr and "gamma must be finite" in stderr
+
+
+@pytest.mark.parametrize("command", [["partition"], ["eval", "--assignment", "a.csv"],
+                                     ["oracle"]])
+def test_bad_flag_reported_before_the_graph_is_read(capsys, command):
+    code, _, stderr = run(capsys, *command, "--graph", "/nonexistent.txt",
+                          "--k", "2", "--gamma", "nan")
+    assert code == 1
+    assert "gamma must be finite" in stderr
+
+
+def test_pairwise_oracle_alpha_checked_before_the_graph_is_read(capsys):
+    code, _, stderr = run(capsys, "oracle", "--graph", "/nonexistent.txt", "--k", "2",
+                          "--pairwise")
+    assert code == 1
+    assert "explicit --alpha" in stderr

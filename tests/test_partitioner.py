@@ -1,13 +1,20 @@
+import functools
+import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut.graph import from_edges
-from streamcut.objective import ObjectiveConfig, PartitionSnapshot
+from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
+                                 build_snapshot)
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
                                    partition_stream)
+from streamcut import partitioner
 from streamcut.stream import StreamPlan, make_stream
 from streamcut.metrics import compute_lambda
 from conftest import graph_from_pairs, random_gnp
@@ -136,6 +143,12 @@ def brute_triangles(g, assignment, v, k):
     return acc
 
 
+def neighbor_counts(run, v):
+    """|N(v) ∩ S_i| under the run's current assignment."""
+    placed = run.snapshot.assignment[run.graph.neighbors(v)]
+    return np.bincount(placed[placed >= 0], minlength=run.k)
+
+
 def test_triangle_counts_match_brute_force():
     rng = np.random.default_rng(0)
     for seed in range(10):
@@ -145,11 +158,29 @@ def test_triangle_counts_match_brute_force():
         order = rng.permutation(g.n)
         for v in order[: g.n // 2]:
             run.snapshot.assign(int(v), int(rng.integers(0, k)),
-                                run._neighbor_counts(int(v)))
+                                neighbor_counts(run, int(v)))
         for v in order[g.n // 2:]:
             got = run._triangle_counts(int(v))
             want = brute_triangles(g, run.snapshot.assignment, int(v), k)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_triangle_counts_split_large_gathers(monkeypatch, bound):
+    """A gather over the size bound is halved; counts and runs stay the same."""
+    g = random_gnp(40, 0.3, seed=3)
+    plan = make_stream(g, "random", seed=1)
+    want = partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment
+    monkeypatch.setattr(partitioner, "_GATHER", bound)
+    assert np.array_equal(partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment, want)
+    run = PartitionRun(g, 3, "t", CFG.resolve(g, 3), seed=0)
+    rng = np.random.default_rng(bound)
+    for v in range(g.n):
+        if rng.random() < 0.6:
+            run.snapshot.assign(v, int(rng.integers(0, 3)), neighbor_counts(run, v))
+        else:
+            assert np.array_equal(run._triangle_counts(v),
+                                  brute_triangles(g, run.snapshot.assignment, v, 3))
 
 
 @pytest.mark.parametrize("heuristic", ["t", "lt", "et"])
@@ -160,8 +191,18 @@ def test_triangle_heuristics_prefer_the_triangle_rich_cluster(heuristic):
                           (6, 0), (6, 3), (6, 4), (6, 5)])
     run = PartitionRun(g, 2, heuristic, CFG.resolve(g, 2), seed=0)
     for v, c in [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)]:
-        run.snapshot.assign(v, c, run._neighbor_counts(v))
+        run.snapshot.assign(v, c, neighbor_counts(run, v))
     assert run.assign_vertex(6) == 1
+
+
+def test_assign_vertex_rejects_repeats_and_negative_ids():
+    g = random_gnp(10, 0.3, seed=4)
+    run = PartitionRun(g, 2, "fennel", CFG, seed=0)
+    run.assign_vertex(3)
+    for v in (3, -1):
+        with pytest.raises(SnapshotError):
+            run.assign_vertex(v)
+    assert run.snapshot.assigned_count == 1
 
 
 def test_threshold_restricts_loads():
@@ -214,3 +255,118 @@ def test_min_load_tie_policy_spreads_dg():
 def test_tie_policy_names_exported():
     assert TIE_POLICIES == ("lowest_index", "min_load")
     assert len(HEURISTICS) == 10
+
+
+# ---- golden traces ----------------------------------------------------------
+# sha256 over (assignment, cut_edges, cluster_vertex_counts,
+# cluster_internal_edges, neighbor_scans, threshold_violations) of every run in
+# a config's tie policy x nu x order grid: a change to the assignment loop
+# must leave every trace and counter bit-identical
+
+GOLDEN_CONFIGS = {**{h: (h, CFG) for h in HEURISTICS},
+                  "fennel/discrete": ("fennel", ObjectiveConfig(
+                      gamma=1.5, alpha=0.1, marginal_mode="discrete")),
+                  "fennel/interior_edge": ("fennel", ObjectiveConfig(
+                      gamma=1.5, size_mode="interior_edge"))}
+
+GOLDEN_TRACES = {
+    ("hp", "fennel"):
+        "1c6259aa883c0a1ffede86f4dce5cd1a3a943c62754372685ae5ca6fefb69f5d",
+    ("hp", "hash"):
+        "6892d622d7a0ee183de57da5d3100cd5b4869913b722010c2a15a8406651d5a4",
+    ("hp", "balanced"):
+        "74fd20d3041939d9687ece360ee1cbb185ee67ab5db1f0c25d15e0bd0ea163a2",
+    ("hp", "dg"):
+        "26b966de3b9e83d11a70de148694a6c62a47b192256737dbde60b6f4bdd0b648",
+    ("hp", "ldg"):
+        "3a9e92fae820ecf5d5b29ee3937a052ab8fe12496de764f8e38b676a8381b7c6",
+    ("hp", "edg"):
+        "4e6e5cbe51c6823f79234cc6bc1a852c09c2875815ab66b2087074626e44ab7b",
+    ("hp", "t"):
+        "132753a4d7c7c37a2281adb7e711fd53007b9fa524df701309e8fc8a615bd994",
+    ("hp", "lt"):
+        "8078d2a609063f119af59ca47e2283cf66a97d435fa331467c6702a486c4106f",
+    ("hp", "et"):
+        "5321ccda299eae7e5e5c2f9acef81181f045db2ba0a56ae48286a19bef88c39b",
+    ("hp", "nn"):
+        "02e9a98a763b78afc2116150dc3f1bc7e26fe8abce0999f87221fd479c417519",
+    ("hp", "fennel/discrete"):
+        "ebbae1bd16e89bd6860a6d3e164ef5ce16c298ecd78ded6224a2c10d3467327e",
+    ("hp", "fennel/interior_edge"):
+        "015e2f7fa47c2e83b3b76c1a0049ded221da77483e7a48986a8fb727920e63f0",
+    ("cl", "fennel"):
+        "315c105d80bcb042f22b5178aeeb92eb5bc57652ab4ab112a1ced40270f2e7c8",
+    ("cl", "hash"):
+        "687097666a6299189863d083314ad35ad1848d4ba73b636598f594d65bd207bc",
+    ("cl", "balanced"):
+        "65e906bd980d7f8b1ef14667d2348377f99e10cbbae559c726514b08fa9055d1",
+    ("cl", "dg"):
+        "eed731daaef158f417ad9fb1a122979249ec21e331cb54cc9edfecf3b6ad8c1f",
+    ("cl", "ldg"):
+        "a77ee35b436425f344856b937f349f8d75b612e75c7243d55c982b45c8817893",
+    ("cl", "edg"):
+        "e44876f0addccb3ad72207f31bf467a90806ccc588c173a05efe1d2c58dc7f83",
+    ("cl", "t"):
+        "940ce037f3af333168db21f65f315f3ac9ff68cfe9f977470ead0c63b8c49ebc",
+    ("cl", "lt"):
+        "1bc3c59d3684a47523dd97beef5925650f5cf785f3634fae5e9b210c6b2c18ab",
+    ("cl", "et"):
+        "1bc3c59d3684a47523dd97beef5925650f5cf785f3634fae5e9b210c6b2c18ab",
+    ("cl", "nn"):
+        "33d3515531ddf01bdeba1e63ae2c01c9d2230438b5cec1964b094387764a2404",
+    ("cl", "fennel/discrete"):
+        "d90b157e964d33b23b3cf707031d5a14ee532f702cf8e3874113a20df38d85e0",
+    ("cl", "fennel/interior_edge"):
+        "623ea3832c81d4cc5da160006e277ebb4fe8ebe15f483d0360d098e712c8314f",
+}
+
+
+@functools.cache
+def golden_graph(name):
+    """(graph, k): planted clusters at k=4, and a power-law graph with isolated
+    vertices (many BFS restarts) at k=5."""
+    if name == "hp":
+        return generate_hp(HpParams(120, 4, 0.3, 0.05, seed=1))[0], 4
+    return generate_cl(ClParams(300, 2.5, avg_degree=6.0, seed=2)), 5
+
+
+def trace_digest(graph, label):
+    g, k = golden_graph(graph)
+    heuristic, cfg = GOLDEN_CONFIGS[label]
+    h = hashlib.sha256()
+    for tie, nu, order in itertools.product(TIE_POLICIES, (math.inf, 1.1),
+                                            ("random", "bfs")):
+        plan = make_stream(g, order, seed=3)
+        snap, stats = partition_stream(g, plan, k, heuristic, replace(cfg, nu=nu), seed=3,
+                                       tie_policy=tie)
+        for arr in (snap.assignment, snap.cluster_vertex_counts,
+                    snap.cluster_internal_edges,
+                    [snap.cut_edges, stats.neighbor_scans, stats.threshold_violations]):
+            h.update(np.asarray(arr, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("graph", ["hp", "cl"])
+@pytest.mark.parametrize("label", list(GOLDEN_CONFIGS))
+def test_golden_traces(graph, label):
+    assert trace_digest(graph, label) == GOLDEN_TRACES[graph, label]
+
+
+@given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
+       k=st.integers(1, 6), heuristic=st.sampled_from(HEURISTICS),
+       order=st.sampled_from(["random", "bfs", "dfs"]),
+       tie=st.sampled_from(TIE_POLICIES),
+       size_mode=st.sampled_from(["vertex", "interior_edge"]),
+       nu=st.sampled_from([math.inf, 1.0, 1.1]), seed=st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, order,
+                                              tie, size_mode, nu, seed):
+    g = random_gnp(n, p, seed=graph_seed)
+    plan = make_stream(g, order, seed)
+    cfg = ObjectiveConfig(nu=nu, size_mode=size_mode)
+    snap, _ = partition_stream(g, plan, k, heuristic, cfg, seed, tie_policy=tie)
+    ref = build_snapshot(g, snap.assignment, k)
+    assert snap.assigned_count == g.n
+    assert snap.cut_edges == ref.cut_edges
+    assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
+    assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
