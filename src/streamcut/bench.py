@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -12,9 +12,24 @@ from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import Graph, load_edge_list
 from .metrics import (CSV_COLUMNS, RunResult, compute_lambda, compute_rho,
                       aggregate_rows, error_row, evaluate_run, result_to_row)
-from .objective import ObjectiveConfig, build_snapshot, eval_f, eval_g
+from .objective import AUTO, ObjectiveConfig, build_snapshot, eval_f, eval_g
 from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
 from .stream import ORDER_KINDS, StreamPlan, make_stream
+
+MATCH = "match"  # a generator's k that tracks the run's k
+
+_SPEC_KEYS = {"graph", "k", "gamma", "order", "heuristic", "seeds", "nu", "alpha",
+              "size_mode", "marginal_mode", "tie_policy", "out", "lcc"}
+
+# generator directive -> (parameter types, number of leading required ones)
+_GRAPH_PARAMS = {
+    "hp": ({"n": int, "k": lambda s: s if s == MATCH else int(s), "p": float,
+            "q": float}, 4),
+    "cl": ({"n": int, "delta": float, "avg_degree": float, "i0": int}, 2),
+}
+
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 class BenchSpecError(ValueError):
@@ -24,23 +39,19 @@ class BenchSpecError(ValueError):
 @dataclass
 class BenchSpec:
     """
-    Run matrix: the Cartesian product of graphs x k x gamma x order x
-    heuristic x seeds, plus shared objective settings. Graph entries are
-    "path:FILE", "hp:n=..,k=..,p=..,q=..", or "cl:n=..,delta=..[,avg_degree=..]";
-    a generator's k may be the literal "match" to track the run's k, and its
-    sample seed is the run seed.
+    Run matrix: the Cartesian product of graphs x k x objectives x order x
+    heuristic x seeds, where objectives holds one ObjectiveConfig per gamma.
+    Graph entries are "path:FILE", "hp:n=..,k=..,p=..,q=..", or
+    "cl:n=..,delta=..[,avg_degree=..][,i0=..]"; a generator's k may be the
+    literal "match" to track the run's k, and its sample seed is the run seed.
     """
 
     graphs: list[str]
     k_list: list[int]
-    gamma_list: list[float]
+    objectives: list[ObjectiveConfig]
     order_list: list[str]
     heuristic_list: list[str]
     seeds: list[int]
-    nu: float = math.inf
-    alpha: float | str = "auto"
-    size_mode: str = "vertex"
-    marginal_mode: str = "derivative"
     tie_policy: str = "lowest_index"
     out: str = "results.csv"
     lcc: bool = True
@@ -50,8 +61,10 @@ class BenchSpec:
             raise BenchSpecError("no graph directives")
         if not self.heuristic_list:
             raise BenchSpecError("empty heuristic list")
-        if not self.k_list or not self.gamma_list or not self.seeds or not self.order_list:
+        if not self.k_list or not self.objectives or not self.seeds or not self.order_list:
             raise BenchSpecError("k, gamma, order and seeds must each be nonempty")
+        if min(self.k_list) < 1 or min(self.seeds) < 0:
+            raise BenchSpecError("k must be >= 1 and seeds >= 0")
         for h in self.heuristic_list:
             if h not in HEURISTICS:
                 raise BenchSpecError(f"unknown heuristic {h!r}")
@@ -64,21 +77,11 @@ class BenchSpec:
             _parse_graph_spec(spec)  # raises on malformed entries
 
 
-def _parse_kv(body: str, what: str) -> dict[str, str]:
-    out = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise BenchSpecError(f"malformed {what} parameter {part!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _parse_graph_spec(spec: str):
-    """Split a graph directive into (kind, params); validates keys."""
+def _parse_graph_spec(spec: str) -> tuple[str, dict, dict[str, str]]:
+    """
+    Split a graph directive into (kind, typed params, params as written);
+    display names use the written text, so "p=.8" stays ".8".
+    """
     if ":" not in spec:
         raise BenchSpecError(f"graph spec {spec!r} needs a kind prefix (path:/hp:/cl:)")
     kind, body = spec.split(":", 1)
@@ -86,27 +89,37 @@ def _parse_graph_spec(spec: str):
     if kind == "path":
         if not body:
             raise BenchSpecError("path: graph spec with empty path")
-        return kind, {"path": body}
-    if kind == "hp":
-        kv = _parse_kv(body, "hp")
-        missing = {"n", "k", "p", "q"} - kv.keys()
-        if missing:
-            raise BenchSpecError(f"hp spec missing {sorted(missing)}")
-        return kind, kv
-    if kind == "cl":
-        kv = _parse_kv(body, "cl")
-        missing = {"n", "delta"} - kv.keys()
-        if missing:
-            raise BenchSpecError(f"cl spec missing {sorted(missing)}")
-        return kind, kv
-    raise BenchSpecError(f"unknown graph kind {kind!r}")
+        return kind, {"path": body}, {"path": body}
+    if kind not in _GRAPH_PARAMS:
+        raise BenchSpecError(f"unknown graph kind {kind!r}")
+    types, required = _GRAPH_PARAMS[kind]
+    params, text = {}, {}
+    for part in body.split(","):
+        if not part.strip():
+            continue
+        if "=" not in part:
+            raise BenchSpecError(f"malformed {kind} parameter {part.strip()!r}")
+        key, val = (s.strip() for s in part.split("=", 1))
+        if key not in types or key in text:
+            raise BenchSpecError(f"unknown or repeated {kind} parameter {key!r}")
+        text[key] = val
+        try:
+            params[key] = types[key](val)
+        except ValueError:
+            raise BenchSpecError(f"{kind} parameter {key}={val!r} is not a number") from None
+    missing = set(list(types)[:required]) - text.keys()
+    if missing:
+        raise BenchSpecError(f"{kind} spec missing {sorted(missing)}")
+    return kind, params, text
 
 
 def parse_bench_spec(path) -> BenchSpec:
     """
     Parse a flat key-value spec file: one "key = value" directive per
     line, '#' comments, repeated "graph" lines accumulate, list-valued
-    keys are whitespace-separated.
+    keys are whitespace-separated. Any other key given twice is an error.
+    Every value is checked here: a bad one raises BenchSpecError naming the
+    file before any graph is built.
     """
     raw: dict[str, str] = {}
     graphs: list[str] = []
@@ -119,124 +132,101 @@ def parse_bench_spec(path) -> BenchSpec:
                 raise BenchSpecError(f"{path}:{lineno}: expected 'key = value', got {s!r}")
             key, val = s.split("=", 1)
             key, val = key.strip().lower(), val.strip()
+            if key not in _SPEC_KEYS:
+                raise BenchSpecError(f"{path}:{lineno}: unknown spec key {key!r}")
             if key == "graph":
                 graphs.append(val)
+            elif key in raw:
+                raise BenchSpecError(f"{path}:{lineno}: repeated key {key!r}")
             else:
                 raw[key] = val
 
-    def floats(key, default=None):
+    def value(key, convert, default=None):
+        """raw[key] through convert, naming the key if it fails."""
         if key not in raw:
             return default
-        return [float(x) for x in raw[key].split()]
+        try:
+            return convert(raw[key])
+        except (ValueError, KeyError):
+            raise BenchSpecError(f"bad {key} value {raw[key]!r}") from None
 
-    def ints(key, default=None):
-        if key not in raw:
-            return default
-        return [int(x) for x in raw[key].split()]
+    def words(convert=str):
+        return lambda text: [convert(x) for x in text.split()]
 
-    known = {"k", "gamma", "order", "heuristic", "seeds", "nu", "alpha",
-             "size_mode", "marginal_mode", "tie_policy", "out", "lcc"}
-    unknown = raw.keys() - known
-    if unknown:
-        raise BenchSpecError(f"unknown spec keys {sorted(unknown)}")
-
-    alpha = raw.get("alpha", "auto")
-    spec = BenchSpec(
-        graphs=graphs,
-        k_list=ints("k", []),
-        gamma_list=floats("gamma", [1.5]),
-        order_list=raw.get("order", "random").split(),
-        heuristic_list=raw.get("heuristic", "").split(),
-        seeds=ints("seeds", []),
-        nu=float(raw.get("nu", "inf")),
-        alpha=alpha if alpha == "auto" else float(alpha),
-        size_mode=raw.get("size_mode", "vertex"),
-        marginal_mode=raw.get("marginal_mode", "derivative"),
-        tie_policy=raw.get("tie_policy", "lowest_index"),
-        out=raw.get("out", "results.csv"),
-        lcc=raw.get("lcc", "true").lower() in ("1", "true", "yes", "on"),
-    )
-    spec.validate()
+    try:
+        shared = {key: value(key, convert) for key, convert in (
+            ("nu", float), ("alpha", lambda s: s if s == AUTO else float(s)),
+            ("size_mode", str), ("marginal_mode", str)) if key in raw}
+        spec = BenchSpec(
+            graphs=graphs,
+            k_list=value("k", words(int), []),
+            objectives=[ObjectiveConfig(gamma=gamma, **shared)
+                        for gamma in value("gamma", words(float), [ObjectiveConfig.gamma])],
+            order_list=value("order", words(), ["random"]),
+            heuristic_list=value("heuristic", words(), []),
+            seeds=value("seeds", words(int), []),
+            tie_policy=value("tie_policy", str, BenchSpec.tie_policy),
+            out=value("out", str, BenchSpec.out),
+            lcc=value("lcc", lambda s: _FLAGS[s.lower()], BenchSpec.lcc),
+        )
+        spec.validate()
+    except ValueError as ex:
+        raise BenchSpecError(f"{path}: {ex}") from None
     return spec
 
 
-class _GraphCache:
-    """Materializes graph specs, one instance per (spec, k, seed) as needed."""
-
-    def __init__(self, lcc: bool):
-        self.lcc = lcc
-        self._cache: dict[tuple, Graph] = {}
-
-    def get(self, spec: str, k: int, seed: int) -> tuple[Graph, str, tuple]:
-        """(graph, display name, cache key) of the instance a run needs."""
-        kind, kv = _parse_graph_spec(spec)
-        if kind == "path":
-            key = (spec,)
-            name = kv["path"]
-        elif kind == "hp":
-            gk = k if kv["k"] == "match" else int(kv["k"])
-            key = (spec, gk, seed)
-            name = f"hp(n={kv['n']},k={gk},p={kv['p']},q={kv['q']})"
-        else:
-            key = (spec, seed)
-            name = f"cl(n={kv['n']},delta={kv['delta']})"
-        if key not in self._cache:
-            if kind == "path":
-                self._cache[key] = load_edge_list(kv["path"], lcc=self.lcc)
-            elif kind == "hp":
-                g, _ = generate_hp(HpParams(n=int(kv["n"]), k=key[1],
-                                            p=float(kv["p"]), q=float(kv["q"]),
-                                            seed=seed))
-                self._cache[key] = g
-            else:
-                params = ClParams(n=int(kv["n"]), delta=float(kv["delta"]),
-                                  avg_degree=float(kv.get("avg_degree", 10.0)),
-                                  i0=int(kv["i0"]) if "i0" in kv else None,
-                                  seed=seed)
-                self._cache[key] = generate_cl(params)
-        return self._cache[key], name, key
+def _instance(kind: str, params: dict, text: dict[str, str], k: int, seed: int,
+              lcc: bool) -> tuple[Graph, str]:
+    """(graph, display name) of a parsed directive's instance for a run's k and seed."""
+    if kind == "path":
+        return load_edge_list(params["path"], lcc=lcc), text["path"]
+    if kind == "hp":
+        gk = k if params["k"] == MATCH else params["k"]
+        g, _ = generate_hp(HpParams(**{**params, "k": gk}, seed=seed))
+        return g, f"hp(n={text['n']},k={gk},p={text['p']},q={text['q']})"
+    return generate_cl(ClParams(**params, seed=seed)), f"cl(n={text['n']},delta={text['delta']})"
 
 
 def run_bench(spec: BenchSpec):
     """
     Execute the matrix sequentially in deterministic order and write the
     CSV: one row per run, then mean/std aggregate rows per group. Failures
-    become error rows; the matrix keeps going. Runs on one graph instance
-    with the same order and seed share one (read-only) arrival sequence.
+    become error rows; the matrix keeps going. Each graph instance is built
+    once, and runs on it with the same order and seed share one (read-only)
+    arrival sequence. Instances and sequences are dropped when their
+    directive is done, and for a k=match generator when its k is done.
     """
     spec.validate()
-    cache = _GraphCache(spec.lcc)
-    plans: dict[tuple, StreamPlan] = {}
     rows: list[list[str]] = []
     results: list[RunResult] = []
     for gspec in spec.graphs:
+        kind, params, text = _parse_graph_spec(gspec)
+        instances: dict[int | None, tuple[Graph, str]] = {}  # by seed; one for a path
+        plans: dict[tuple[str, int], StreamPlan] = {}  # by (order, seed)
         for k in spec.k_list:
-            for gamma in spec.gamma_list:
-                for order in spec.order_list:
-                    for heuristic in spec.heuristic_list:
-                        for seed in spec.seeds:
-                            name = gspec
-                            try:
-                                g, name, gkey = cache.get(gspec, k, seed)
-                                config = ObjectiveConfig(
-                                    gamma=gamma, alpha=spec.alpha, nu=spec.nu,
-                                    size_mode=spec.size_mode,
-                                    marginal_mode=spec.marginal_mode)
-                                if (gkey, order, seed) not in plans:
-                                    plans[gkey, order, seed] = make_stream(g, order, seed)
-                                plan = plans[gkey, order, seed]
-                                snap, stats = partition_stream(
-                                    g, plan, k, heuristic, config, seed,
-                                    tie_policy=spec.tie_policy)
-                                r = evaluate_run(g, name, snap, config, order,
-                                                 heuristic, seed, stats.runtime_ms,
-                                                 stats.threshold_violations)
-                                results.append(r)
-                                rows.append(result_to_row(r))
-                            except Exception as ex:
-                                rows.append(error_row(name, k, gamma, spec.alpha,
-                                                      spec.nu, order, heuristic,
-                                                      seed, f"{type(ex).__name__}: {ex}"))
+            if params.get("k") == MATCH:
+                instances.clear()
+                plans.clear()
+            for config, order, heuristic, seed in itertools.product(
+                    spec.objectives, spec.order_list, spec.heuristic_list, spec.seeds):
+                name = gspec
+                try:
+                    key = None if kind == "path" else seed
+                    if key not in instances:
+                        instances[key] = _instance(kind, params, text, k, seed, spec.lcc)
+                    g, name = instances[key]
+                    if (order, seed) not in plans:
+                        plans[order, seed] = make_stream(g, order, seed)
+                    snap, stats = partition_stream(g, plans[order, seed], k, heuristic,
+                                                   config, seed, tie_policy=spec.tie_policy)
+                    r = evaluate_run(g, name, snap, config, order, heuristic, seed,
+                                     stats.runtime_ms, stats.threshold_violations)
+                    results.append(r)
+                    rows.append(result_to_row(r))
+                except Exception as ex:
+                    rows.append(error_row(name, k, config.gamma, config.alpha, config.nu,
+                                          order, heuristic, seed,
+                                          f"{type(ex).__name__}: {ex}"))
     rows.extend(aggregate_rows(results))
     with open(spec.out, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -8,7 +8,7 @@ from . import bench as bench_mod
 from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import load_edge_list, save_edge_list
 from .metrics import compute_lambda, compute_rho
-from .objective import ObjectiveConfig, eval_f, eval_g
+from .objective import MARGINAL_MODES, SIZE_MODES, ObjectiveConfig, eval_f, eval_g
 from .oracle import brute_force_optimal, brute_force_pair_optimal
 from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
 from .sdp import SdpProblem, approximation_ratio_bound, round_hyperplanes, solve_sdp
@@ -20,14 +20,14 @@ def _alpha(text: str):
 
 
 def _add_objective_flags(p: argparse.ArgumentParser):
-    p.add_argument("--gamma", type=float, default=1.5)
-    p.add_argument("--alpha", type=_alpha, default="auto",
+    p.add_argument("--gamma", type=float, default=ObjectiveConfig.gamma)
+    p.add_argument("--alpha", type=_alpha, default=ObjectiveConfig.alpha,
                    help="positive real or 'auto' (m*k^(gamma-1)/n^gamma)")
-    p.add_argument("--nu", type=float, default=float("inf"),
+    p.add_argument("--nu", type=float, default=ObjectiveConfig.nu,
                    help="load threshold factor; inf disables")
-    p.add_argument("--size-mode", choices=("vertex", "interior_edge"), default="vertex")
-    p.add_argument("--marginal-mode", choices=("discrete", "derivative"),
-                   default="derivative")
+    p.add_argument("--size-mode", choices=SIZE_MODES, default=ObjectiveConfig.size_mode)
+    p.add_argument("--marginal-mode", choices=MARGINAL_MODES,
+                   default=ObjectiveConfig.marginal_mode)
 
 
 def _config(args) -> ObjectiveConfig:

@@ -1,5 +1,9 @@
 import csv
+import gc
+import hashlib
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,11 +49,11 @@ def test_spec_parses_full_grammar(tmp_path):
     assert spec.graphs == ["hp:n=80,k=2,p=0.5,q=0.1",
                            "cl:n=60,delta=2.5,avg_degree=4"]
     assert spec.k_list == [2, 4]
-    assert spec.gamma_list == [1.0, 1.5]
+    assert [c.gamma for c in spec.objectives] == [1.0, 1.5]
     assert spec.order_list == ["random", "bfs"]
     assert spec.heuristic_list == ["fennel", "hash"]
     assert spec.seeds == [1, 2]
-    assert math.isinf(spec.nu) and spec.alpha == "auto"
+    assert all(math.isinf(c.nu) and c.alpha == "auto" for c in spec.objectives)
 
 
 def test_spec_rejects_unknown_keys(tmp_path):
@@ -74,9 +78,49 @@ def test_spec_rejects_malformed_lines_and_graphs(tmp_path):
         parse_bench_spec(p)
 
 
+BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = fennel\n{extra}\n"
+
+
+@pytest.mark.parametrize("fields, names", [
+    ({"extra": "size_mode = bogus"}, "size_mode"),
+    ({"extra": "nu = nan"}, "nu"),
+    ({"extra": "alpha = -1"}, "alpha"),
+    ({"extra": "gamma = nan"}, "gamma"),
+    ({"graph": "hp:n=forty,k=2,p=0.5,q=0.1"}, "forty"),
+    ({"graph": "hp:n=20,k=2,p=0.5,q=0.1,qq=0.9"}, "qq"),
+    ({"extra": "lcc = ture"}, "lcc"),
+    ({"extra": "k = 3"}, ":5: repeated key 'k'"),
+    ({"k": "two"}, "two"),
+    ({"k": "0"}, "k must be >= 1"),
+    ({"seeds": "-1"}, "seeds >= 0"),
+], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
+        "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative"])
+def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
+    """Each bad value is a BenchSpecError naming the file, raised before any build."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built while parsing")
+
+    for builder in ("generate_hp", "generate_cl", "load_edge_list"):
+        monkeypatch.setattr(bench_mod, builder, no_build)
+    p = tmp_path / "bad.bench"
+    p.write_text(BAD_SPEC.format(**{"graph": "hp:n=20,k=2,p=0.5,q=0.1", "k": "2",
+                                    "seeds": "1", "extra": "", **fields}))
+    with pytest.raises(BenchSpecError) as err:
+        parse_bench_spec(p)
+    assert str(p) in str(err.value) and names in str(err.value)
+
+
+def test_shipped_bench_specs_parse():
+    specs = sorted((Path(__file__).parents[1] / "benchspecs").glob("*.bench"))
+    assert specs
+    for path in specs:
+        spec = parse_bench_spec(path)
+        assert spec.graphs and spec.k_list and spec.objectives and spec.heuristic_list
+
+
 def test_empty_heuristic_list_fails_before_running():
     spec = BenchSpec(graphs=["hp:n=10,k=2,p=0.5,q=0.1"], k_list=[2],
-                     gamma_list=[1.5], order_list=["random"],
+                     objectives=[ObjectiveConfig(gamma=1.5)], order_list=["random"],
                      heuristic_list=[], seeds=[1])
     with pytest.raises(BenchSpecError):
         spec.validate()
@@ -155,6 +199,53 @@ def test_bench_shares_one_stream_per_graph_order_and_seed(tmp_path, monkeypatch)
     assert len(results) == 64
     # hp instances per (k, seed) and cl instances per seed, times two orders
     assert sorted(made) == sorted([(o, s) for o in ("random", "bfs") for s in (1, 2)] * 3)
+
+
+def test_bench_frees_k_match_instances_after_their_k(tmp_path, monkeypatch):
+    """A k=match instance is dropped once its k is done, not kept to the end."""
+    built, alive = [], {}
+    real_hp, real_partition = bench_mod.generate_hp, bench_mod.partition_stream
+
+    def tracked_hp(params):
+        g, labels = real_hp(params)
+        built.append(weakref.ref(g))
+        return g, labels
+
+    def counting(g, plan, k, *args, **kwargs):
+        gc.collect()
+        alive[k] = max(alive.get(k, 0), sum(ref() is not None for ref in built))
+        return real_partition(g, plan, k, *args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "generate_hp", tracked_hp)
+    monkeypatch.setattr(bench_mod, "partition_stream", counting)
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = hp:n=60,k=match,p=0.6,q=0.05\nk = 2 3\nseeds = 1 2\n"
+                 f"heuristic = fennel ldg\nout = {tmp_path / 'res.csv'}\n")
+    assert len(run_bench(parse_bench_spec(p))) == 8
+    assert len(built) == 4
+    assert alive == {2: 2, 3: 2}
+
+
+# CSV rows of test_bench_csv_names_and_values without runtime_ms; a change
+# to any value, name or row order shows here
+BENCH_CSV_SHA256 = "8f703a464e3591a7df089f8dff99c1713035350ddd4ebe2c38570022605df424"
+
+
+def test_bench_csv_names_and_values(tmp_path):
+    """Display names keep the directive's own text; the rows are pinned."""
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = hp:n=40,k=match,p=.8,q=0.10\n"
+                 "graph = cl:n=50,delta=2.50,avg_degree=4\n"
+                 "k = 2 3\ngamma = 1 1.5\norder = random bfs\nheuristic = fennel t\n"
+                 f"seeds = 1 2\nalpha = auto\nout = {out}\n")
+    run_bench(parse_bench_spec(p))
+    rows = read_csv(out)
+    assert {r[0] for r in rows[1:]} == {"hp(n=40,k=2,p=.8,q=0.10)", "hp(n=40,k=3,p=.8,q=0.10)",
+                                        "cl(n=50,delta=2.50)"}
+    rt = CSV_COLUMNS.index("runtime_ms")
+    stable = "\n".join(",".join(r[:rt] + r[rt + 1:]) for r in rows)
+    assert hashlib.sha256(stable.encode()).hexdigest() == BENCH_CSV_SHA256
 
 
 def test_bench_path_graph_round_trip(tmp_path):
