@@ -21,11 +21,12 @@ MATCH = "match"  # a generator's k that tracks the run's k
 _SPEC_KEYS = {"graph", "k", "gamma", "order", "heuristic", "seeds", "nu", "alpha",
               "size_mode", "marginal_mode", "tie_policy", "out", "lcc"}
 
-# generator directive -> (parameter types, number of leading required ones)
+# generator directive -> (parameter types, number of leading required ones, the
+# params class whose checks the values must pass)
 _GRAPH_PARAMS = {
     "hp": ({"n": int, "k": lambda s: s if s == MATCH else int(s), "p": float,
-            "q": float}, 4),
-    "cl": ({"n": int, "delta": float, "avg_degree": float, "i0": int}, 2),
+            "q": float}, 4, HpParams),
+    "cl": ({"n": int, "delta": float, "avg_degree": float, "i0": int}, 2, ClParams),
 }
 
 _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
@@ -92,7 +93,7 @@ def _parse_graph_spec(spec: str) -> tuple[str, dict, dict[str, str]]:
         return kind, {"path": body}, {"path": body}
     if kind not in _GRAPH_PARAMS:
         raise BenchSpecError(f"unknown graph kind {kind!r}")
-    types, required = _GRAPH_PARAMS[kind]
+    types, required, checked = _GRAPH_PARAMS[kind]
     params, text = {}, {}
     for part in body.split(","):
         if not part.strip():
@@ -110,6 +111,12 @@ def _parse_graph_spec(spec: str) -> tuple[str, dict, dict[str, str]]:
     missing = set(list(types)[:required]) - text.keys()
     if missing:
         raise BenchSpecError(f"{kind} spec missing {sorted(missing)}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q > p warns once, when an instance is built
+        try:  # k=match takes each run's k, which validate checks
+            checked(**{**params, "k": 1} if params.get("k") == MATCH else params)
+        except ValueError as ex:
+            raise BenchSpecError(f"graph {spec!r}: {ex}") from None
     return kind, params, text
 
 
@@ -192,16 +199,18 @@ def run_bench(spec: BenchSpec):
     Execute the matrix sequentially in deterministic order and write the
     CSV: one row per run, then mean/std aggregate rows per group. Failures
     become error rows; the matrix keeps going. Each graph instance is built
-    once, and runs on it with the same order and seed share one (read-only)
-    arrival sequence. Instances and sequences are dropped when their
-    directive is done, and for a k=match generator when its k is done.
+    (or fails to build) once, and runs on it with the same order and seed
+    share one (read-only) arrival sequence. Instances and sequences are
+    dropped when their directive is done, and for a k=match generator when
+    its k is done.
     """
     spec.validate()
     rows: list[list[str]] = []
     results: list[RunResult] = []
     for gspec in spec.graphs:
         kind, params, text = _parse_graph_spec(gspec)
-        instances: dict[int | None, tuple[Graph, str]] = {}  # by seed; one for a path
+        # by seed (one for a path): (graph, name), or the error its build raised
+        instances: dict[int | None, tuple[Graph, str] | Exception] = {}
         plans: dict[tuple[str, int], StreamPlan] = {}  # by (order, seed)
         for k in spec.k_list:
             if params.get("k") == MATCH:
@@ -213,7 +222,12 @@ def run_bench(spec: BenchSpec):
                 try:
                     key = None if kind == "path" else seed
                     if key not in instances:
-                        instances[key] = _instance(kind, params, text, k, seed, spec.lcc)
+                        try:
+                            instances[key] = _instance(kind, params, text, k, seed, spec.lcc)
+                        except Exception as ex:  # every run on it fails alike
+                            instances[key] = ex
+                    if isinstance(instances[key], Exception):
+                        raise instances[key]
                     g, name = instances[key]
                     if (order, seed) not in plans:
                         plans[order, seed] = make_stream(g, order, seed)

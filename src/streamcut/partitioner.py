@@ -13,7 +13,17 @@ from .stream import StreamPlan
 
 HEURISTICS = ("fennel", "hash", "balanced", "dg", "ldg", "edg", "t", "lt", "et", "nn")
 TIE_POLICIES = ("lowest_index", "min_load")
-_GATHER = 1 << 16  # adjacency entries one triangle-count gather may hold
+_GATHER = 1 << 14  # adjacency entries one block of arrivals or one gather may hold
+_FREE = np.iinfo(np.int64).max  # mark of a vertex outside the current call
+
+
+def _spans(weights: np.ndarray):
+    """Consecutive [lo, hi) ranges of weights, each summing to at most _GATHER or one item."""
+    ends, lo = np.cumsum(weights), 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weights[lo] + _GATHER, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def _exp_weighted(signal: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -80,47 +90,66 @@ class PartitionRun:
         self._cap = self.config.nu * g.n / k if heuristic == "fennel" else math.inf
         self._load = _load_table(term, self.config, g.n, k, self._cap)
         hashed = heuristic == "hash"  # one vector draw equals n scalar draws
-        self._draws = iter(self.rng.integers(k, size=g.n).tolist()) if hashed else None
+        self._draws = self.rng.integers(k, size=g.n) if hashed else None
         self._indptr = g.indptr.tolist()
         self._degrees = g.degrees
-        self._label = np.full(g.n, -1, dtype=np.int64)  # scratch for t/lt/et
+        # k + position of each vertex in the current call, else _FREE; _block_triangles
+        # marks a block's placed neighbours with their clusters while it runs
+        self._mark = np.full(g.n, _FREE, dtype=np.int64)
 
-    def _triangle_counts(self, v: int) -> np.ndarray:
-        """t_{S_i}(v): edges among the already-assigned neighbors of v, per cluster."""
-        assignment = self.snapshot.assignment
-        nbr = self.graph.indices[self._indptr[v]:self._indptr[v + 1]]
-        placed = nbr[assignment[nbr] >= 0]
-        if not len(placed):
-            return np.zeros(self.k, dtype=np.int64)
-        clusters = assignment[placed]
-        self._label[placed] = clusters  # -1 off the placed neighbourhood
-        entries = self._edges_within_cluster(placed, clusters)
-        self._label[placed] = -1
-        return entries * 0.5  # both endpoints count
+    def _adjacency(self, vertices: np.ndarray, first: int = 0):
+        """(first + position in vertices, neighbour) of every adjacency entry of vertices."""
+        lens = self._degrees[vertices]
+        ends = np.cumsum(lens)
+        entries = (self.graph.indptr[vertices] - ends + lens).repeat(lens)
+        entries += np.arange(len(entries))
+        return np.arange(first, first + len(vertices)).repeat(lens), self.graph.indices[entries]
 
-    def _edges_within_cluster(self, placed: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-        """
-        Per cluster, the adjacency entries of `placed` (in `clusters`) that
-        point to a vertex labelled with the same cluster: one gather of their
-        adjacency lists, halved until it holds at most _GATHER entries or one
-        vertex.
-        """
-        g = self.graph
-        lens = self._degrees[placed]
-        ends = np.add.accumulate(lens)
-        if ends[-1] > _GATHER and len(placed) > 1:  # a hub's neighbourhood
-            half = len(placed) // 2
-            return (self._edges_within_cluster(placed[:half], clusters[:half])
-                    + self._edges_within_cluster(placed[half:], clusters[half:]))
-        w = g.indices[(g.indptr[placed] - ends + lens).repeat(lens) + np.arange(ends[-1])]
-        owner = clusters.repeat(lens)
-        return np.bincount(owner, self._label[w] == owner, self.k)
+    def _earlier(self, block: np.ndarray, b0: int):
+        """(j, u, cluster of u) for each neighbour u of block[j] placed or arriving
+        before it; block[j] is at position b0 + j of the current call."""
+        owner, u = self._adjacency(block)
+        cu = self.snapshot.assignment[u]
+        keep = (cu >= 0) | (self._mark[u] < self.k + b0 + owner)
+        return owner[keep], u[keep], cu[keep]
 
-    def _scores(self, v: int, signal: np.ndarray) -> np.ndarray:
-        """op(signal, load[|S_i|]), given the neighbour counts as the signal."""
-        if self._signal == "triangles":
-            signal = self._triangle_counts(v)
-        elif self._signal == "surplus":
+    def _block_triangles(self, block: np.ndarray, b0: int):
+        """The triangle signal of a block of arrivals: tri[j, i] counts the edges among
+        block[j]'s neighbours both in S_i when the block started; pairs lists those
+        (u, w) where u arrived in the block before block[j] and w before u."""
+        n, k, b = self.graph.n, self.k, len(block)
+        mark = self._mark
+        owner, u, cu = self._earlier(block, b0)
+        keys = owner * n + u  # sorted: block[j]'s earlier neighbours, by j
+        placed = cu >= 0
+        mark[u[placed]] = cu[placed]  # below every position mark
+        tri = np.zeros(b * k, dtype=np.int64)
+        pairs = []
+        # w closes (x, w) when placed before the block in x's cluster (such an
+        # edge is met from both ends), or, for x in the block, before x
+        for sel, closes in ((placed, np.equal), (~placed, np.less)):
+            j, x = owner[sel], u[sel]
+            cell = j * k + mark[x]  # tri's index for x before the block
+            for lo, hi in _spans(self._degrees[x]):
+                e, w = self._adjacency(x[lo:hi], lo)
+                hit = closes(mark[w], mark[x[lo:hi]].repeat(self._degrees[x[lo:hi]]))
+                hit = hit.nonzero()[0]
+                e, w = e[hit], w[hit]
+                if b > 1:  # the marks span every arrival's neighbours: is w block[j]'s?
+                    q = j[e] * n + w
+                    hit = keys[np.searchsorted(keys, q).clip(max=len(keys) - 1)] == q
+                    e, w = e[hit], w[hit]
+                if closes is np.equal:
+                    tri += np.bincount(cell[e], minlength=b * k)
+                else:
+                    pairs.append((j[e], x[e], w))
+        mark[u[placed]] = _FREE
+        pj, pu, pw = (np.concatenate(p) for p in zip(*pairs)) if pairs else ((),) * 3
+        return tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw)
+
+    def _scores(self, signal: np.ndarray) -> np.ndarray:
+        """op(signal, load[|S_i|]); interior-edge fennel's signal is delta_g of the counts."""
+        if self._signal == "surplus":
             signal = delta_g(self.snapshot, self.config, signal)
         return self._op(signal, self._load[self.snapshot.cluster_vertex_counts])
 
@@ -129,11 +158,52 @@ class PartitionRun:
         return int(self.snapshot.assignment[v])
 
     def _assign(self, vertices) -> None:
+        """Assign vertices in order; the first that is out of range or already
+        assigned raises SnapshotError once those before it are committed."""
+        ids = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        ok = (ids >= 0) & (ids < self.graph.n)
+        safe = np.where(ok, ids, 0)
+        first = np.zeros_like(ok)
+        first[np.unique(safe, return_index=True)[1]] = True  # a repeat is assigned by then
+        ok &= first & (self.snapshot.assignment[safe] < 0)
+        end = len(ids) if ok.all() else int(ok.argmin())
+        run = ids[:end]
+        self._mark[run] = np.arange(self.k, self.k + end)
+        if self._draws is not None:
+            self._hash(run)
+        elif self._signal == "triangles":  # blocks whose arrivals gather <= _GATHER entries
+            volume = self._degrees[run] + float(self.k)  # and a row of the (B, k) counts
+            for lo, hi in _spans(self._degrees[run]):
+                owner, u, _ = self._earlier(run[lo:hi], lo)
+                volume[lo:hi] += np.bincount(owner, self._degrees[u], hi - lo)
+            for lo, hi in _spans(volume):
+                self._steps(run[lo:hi].tolist(), *self._block_triangles(run[lo:hi], lo))
+                self._mark[run[lo:hi]] = _FREE  # placed
+        else:
+            self._steps(run.tolist())
+        self._mark[run] = _FREE
+        if end < len(ids):
+            raise SnapshotError(f"vertex {ids[end]} is out of range or already assigned")
+
+    def _hash(self, run: np.ndarray) -> None:
+        """hash in one pass: the next seeded draws, counters as build_snapshot computes them."""
+        snap = self.snapshot
+        for lo, hi in _spans(self._degrees[run]):
+            owner, u, _ = self._earlier(run[lo:hi], lo)
+            c, self._draws = self._draws[:hi - lo], self._draws[hi - lo:]
+            snap.assignment[run[lo:hi]] = c
+            same = snap.assignment[u] == c[owner]
+            snap.cluster_vertex_counts += np.bincount(c, minlength=self.k)
+            snap.cluster_internal_edges += np.bincount(c[owner[same]], minlength=self.k)
+            snap.cut_edges += len(u) - int(same.sum())
+            snap.assigned_count += hi - lo
+            self.stats.neighbor_scans += int(self._degrees[run[lo:hi]].sum())
+
+    def _steps(self, vertices: list, tri=None, pairs=None) -> None:
         """The per-vertex step: gather the neighbours' clusters, count, score, pick, commit."""
         snap = self.snapshot
         stats = self.stats
         k = self.k
-        draws = self._draws
         cap = self._cap
         assignment = snap.assignment
         sizes = snap.cluster_vertex_counts
@@ -141,25 +211,28 @@ class PartitionRun:
         indptr = self._indptr
         indices = self.graph.indices
         min_load = self.tie_policy == "min_load"
-        for v in vertices:
-            if v < 0 or assignment[v] >= 0:
-                raise SnapshotError(f"vertex {v} is negative or already assigned")
+        starts, pu, pw = pairs or (None,) * 3
+        for j, v in enumerate(vertices):
             nbr = indices[indptr[v]:indptr[v + 1]]
             placed = assignment[nbr]
             placed = placed[placed >= 0]
             counts = np.bincount(placed, minlength=k)
             stats.neighbor_scans += len(nbr)
-            if draws is not None:
-                c = next(draws)
-            else:
-                scores = self._scores(v, counts)
-                c = int(scores.argmax())  # lowest index among ties
-                if scores[c] == -math.inf and (sizes > cap).all():
-                    c = int(sizes.argmin())  # every cluster over the nu cap: spill
-                    stats.threshold_violations += 1
-                elif min_load and scores[::-1].argmax() != k - 1 - c:  # tie
-                    best = (scores == scores[c]).nonzero()[0]
-                    c = int(best[sizes[best].argmin()])
+            signal = counts
+            if tri is not None:
+                signal = tri[j]
+                if starts[j + 1] > starts[j]:  # triangles closed inside the block
+                    cu = assignment[pu[starts[j]:starts[j + 1]]]
+                    hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
+                    signal = signal + np.bincount(cu[hit], minlength=k)
+            scores = self._scores(signal)
+            c = int(scores.argmax())  # lowest index among ties
+            if scores[c] == -math.inf and (sizes > cap).all():
+                c = int(sizes.argmin())  # every cluster over the nu cap: spill
+                stats.threshold_violations += 1
+            elif min_load and scores[::-1].argmax() != k - 1 - c:  # tie
+                best = (scores == scores[c]).nonzero()[0]
+                c = int(best[sizes[best].argmin()])
             inside = int(counts[c])
             assignment[v] = c
             sizes[c] += 1
@@ -180,6 +253,6 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
     """
     run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
     t0 = time.perf_counter()
-    run._assign(plan.sequence.tolist())
+    run._assign(plan.sequence)
     run.stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return run.snapshot, run.stats

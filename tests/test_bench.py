@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import math
+import warnings
 import weakref
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import streamcut.bench as bench_mod
 from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              parse_bench_spec, read_assignment, run_bench,
                              write_assignment)
-from streamcut.graph import from_edges, save_edge_list
+from streamcut.graph import from_edges, load_edge_list, save_edge_list
 from streamcut.metrics import CSV_COLUMNS
 from streamcut.objective import ObjectiveConfig
 from conftest import graph_from_pairs
@@ -93,8 +94,15 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = fennel\n{extr
     ({"k": "two"}, "two"),
     ({"k": "0"}, "k must be >= 1"),
     ({"seeds": "-1"}, "seeds >= 0"),
+    ({"graph": "hp:n=20,k=2,p=1.5,q=0.1"}, "p and q must be probabilities"),
+    ({"graph": "hp:n=20,k=match,p=0.5,q=-0.1"}, "p and q must be probabilities"),
+    ({"graph": "hp:n=0,k=match,p=0.5,q=0.1"}, "n and k must be >= 1"),
+    ({"graph": "cl:n=1,delta=2.5"}, "n must be >= 2"),
+    ({"graph": "cl:n=50,delta=1"}, "delta must be > 1"),
+    ({"graph": "cl:n=50,delta=2.5,avg_degree=50"}, "avg_degree must be in (0, n)"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
-        "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative"])
+        "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
+        "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_avg_degree"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):
@@ -108,6 +116,45 @@ def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     with pytest.raises(BenchSpecError) as err:
         parse_bench_spec(p)
     assert str(p) in str(err.value) and names in str(err.value)
+
+
+def test_q_above_p_warns_only_when_an_instance_is_built(tmp_path):
+    p = tmp_path / "spec.bench"
+    out = tmp_path / "res.csv"
+    p.write_text(f"graph = hp:n=20,k=match,p=0.1,q=0.5\nk = 2\nseeds = 1 2\n"
+                 f"heuristic = dg\nout = {out}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = parse_bench_spec(p)
+    assert caught == []
+    with pytest.warns(UserWarning, match="q > p") as caught:
+        run_bench(spec)
+    assert len(caught) == 2  # one per seed's instance
+
+
+def test_bench_builds_a_failed_instance_once(tmp_path, monkeypatch):
+    """A path: file that fails to load is read once; each run on it is an error row."""
+    graph = tmp_path / "bad.txt"
+    graph.write_text("0 1\n1 2\n2 x\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load_edge_list(*args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "load_edge_list", counted)
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.bench"
+    p.write_text(f"graph = path:{graph}\nk = 2 4\ngamma = 1 1.5\norder = random bfs\n"
+                 f"heuristic = fennel hash\nseeds = 3\nout = {out}\n")
+    assert run_bench(parse_bench_spec(p)) == []
+    assert len(calls) == 1
+    message = f"EdgeListParseError: {graph}:3: malformed edge line '2 x'"
+    want = [[f"path:{graph}", "", "", str(k), gamma, "auto", "inf", order, h, "3",
+             "", "", "", "", "", "", message]
+            for k in (2, 4) for gamma in ("1", "1.5") for order in ("random", "bfs")
+            for h in ("fennel", "hash")]
+    assert read_csv(out)[1:] == want
 
 
 def test_shipped_bench_specs_parse():

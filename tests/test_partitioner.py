@@ -125,11 +125,11 @@ def test_ldg_trace_on_path():
 def test_edg_scores_exact_zero_without_assigned_neighbors():
     g = random_gnp(10, 0.3, seed=2)
     run = PartitionRun(g, 3, "edg", CFG.resolve(g, 3), seed=0)
-    scores = run._scores(0, np.zeros(3, dtype=np.int64))
+    scores = run._scores(np.zeros(3, dtype=np.int64))
     assert np.all(scores == 0.0)
     # oversized cluster with real neighbors scores negative, not nan
     run.snapshot.cluster_vertex_counts[0] = 9
-    scores = run._scores(0, np.array([2, 0, 0]))
+    scores = run._scores(np.array([2, 0, 0]))
     assert np.isfinite(scores).all() and scores[0] < 0.0
 
 
@@ -141,6 +141,11 @@ def brute_triangles(g, assignment, v, k):
         if cu >= 0 and cu == cw and w in g.neighbors(u):
             acc[cu] += 1
     return acc
+
+
+def triangle_counts(run, v):
+    """t_{S_i}(v) under the run's current assignment: v as a block of one arrival."""
+    return run._block_triangles(np.array([v]), 0)[0][0]
 
 
 def neighbor_counts(run, v):
@@ -160,26 +165,34 @@ def test_triangle_counts_match_brute_force():
             run.snapshot.assign(int(v), int(rng.integers(0, k)),
                                 neighbor_counts(run, int(v)))
         for v in order[g.n // 2:]:
-            got = run._triangle_counts(int(v))
+            got = triangle_counts(run, int(v))
             want = brute_triangles(g, run.snapshot.assignment, int(v), k)
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("bound", [1, 8])
+@pytest.mark.parametrize("bound", [1, 8, 512])
 def test_triangle_counts_split_large_gathers(monkeypatch, bound):
-    """A gather over the size bound is halved; counts and runs stay the same."""
-    g = random_gnp(40, 0.3, seed=3)
+    """Blocks and gathers over the size bound are split; counts and runs stay the
+    same. The default bound cuts the stream into two blocks; at 512 it mixes
+    blocks of several arrivals with single arrivals whose gathers are split."""
+    g = random_gnp(50, 0.5, seed=3)
     plan = make_stream(g, "random", seed=1)
     want = partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment
     monkeypatch.setattr(partitioner, "_GATHER", bound)
+    blocks = []
+    block_triangles = PartitionRun._block_triangles
+    monkeypatch.setattr(PartitionRun, "_block_triangles",
+                        lambda run, block, b0: blocks.append(len(block))
+                        or block_triangles(run, block, b0))
     assert np.array_equal(partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment, want)
+    assert min(blocks) == 1 and (max(blocks) > 1) == (bound == 512)
     run = PartitionRun(g, 3, "t", CFG.resolve(g, 3), seed=0)
     rng = np.random.default_rng(bound)
     for v in range(g.n):
         if rng.random() < 0.6:
             run.snapshot.assign(v, int(rng.integers(0, 3)), neighbor_counts(run, v))
         else:
-            assert np.array_equal(run._triangle_counts(v),
+            assert np.array_equal(triangle_counts(run, v),
                                   brute_triangles(g, run.snapshot.assignment, v, 3))
 
 
@@ -199,10 +212,54 @@ def test_assign_vertex_rejects_repeats_and_negative_ids():
     g = random_gnp(10, 0.3, seed=4)
     run = PartitionRun(g, 2, "fennel", CFG, seed=0)
     run.assign_vertex(3)
-    for v in (3, -1):
-        with pytest.raises(SnapshotError):
+    for v in (3, -1, g.n, g.n + 4):
+        with pytest.raises(SnapshotError, match=f"vertex {v} "):
             run.assign_vertex(v)
     assert run.snapshot.assigned_count == 1
+
+
+def run_digest(snap, stats):
+    h = hashlib.sha256()
+    for arr in (snap.assignment, snap.cluster_vertex_counts, snap.cluster_internal_edges,
+                [snap.cut_edges, snap.assigned_count, stats.neighbor_scans,
+                 stats.threshold_violations]):
+        h.update(np.asarray(arr, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 over run_digest of every heuristic on a stream that covers 37 of 60
+# vertices (min_load ties, nu=1.1)
+PREFIX_TRACE = "7060b4d75883b1ffb06a08f546524f97e9428f757bdac7bc817aef76483e67b8"
+
+
+def test_prefix_stream_leaves_a_partial_snapshot():
+    g = random_gnp(60, 0.2, seed=8)
+    plan = StreamPlan("random", 8, make_stream(g, "random", seed=8).sequence[:37])
+    cfg = ObjectiveConfig(nu=1.1)
+    h = hashlib.sha256()
+    for heuristic in HEURISTICS:
+        snap, stats = partition_stream(g, plan, 4, heuristic, cfg, seed=8, tie_policy="min_load")
+        assert snap.assigned_count == 37
+        h.update(run_digest(snap, stats).encode())
+    assert h.hexdigest() == PREFIX_TRACE
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_bad_ids_in_a_stream_raise_after_the_vertices_before_them(heuristic):
+    """A negative, out-of-range or repeated id raises SnapshotError naming it;
+    the vertices before it stay assigned exactly as a stream that stops there."""
+    g = random_gnp(60, 0.2, seed=8)
+    seq = make_stream(g, "random", seed=8).sequence
+    want = run_digest(*partition_stream(g, StreamPlan("random", 8, seq[:37]), 4, heuristic,
+                                        CFG, seed=8))
+    for bad in (-1, g.n, g.n + 7, int(seq[5]), int(seq[36])):
+        stream = np.concatenate([seq[:37], [bad], seq[37:]])
+        with pytest.raises(SnapshotError, match=f"vertex {bad} "):
+            partition_stream(g, StreamPlan("random", 8, stream), 4, heuristic, CFG, seed=8)
+        run = PartitionRun(g, 4, heuristic, CFG, seed=8)
+        with pytest.raises(SnapshotError, match=f"vertex {bad} "):
+            run._assign(stream)
+        assert run_digest(run.snapshot, run.stats) == want
 
 
 def test_threshold_restricts_loads():
@@ -321,12 +378,40 @@ GOLDEN_TRACES = {
 }
 
 
+# The graphs above fit in one triangle block. These two span many: their
+# triangle gathers sum to far more than _GATHER adjacency entries, so the
+# traces cover triangles closed before a block starts and inside it.
+BLOCK_TRACES = {
+    ("cl2000", "t"):
+        "4a5387ec75cdfbcedfc90204ff27866739d827156b3f656904f64af05a0f3154",
+    ("cl2000", "lt"):
+        "0d3d09bf72f961997efdfbadf9a78fc085147b18a2b1398914073809b0c09cd8",
+    ("cl2000", "et"):
+        "0d3d09bf72f961997efdfbadf9a78fc085147b18a2b1398914073809b0c09cd8",
+    ("cl2000", "hash"):
+        "cf1020c8f4887318c74ce92dca1f062f351de1992a4bb600097d60718c3a5cc1",
+    ("hp600", "t"):
+        "048f79812b5ac21b50e3ade0b40f0ac2c8d5963e89d6d66598afce19cbf93013",
+    ("hp600", "lt"):
+        "623e380f02e24a743cf6cc07762584fc6a2e9cb30f0e12739d239d556621d587",
+    ("hp600", "et"):
+        "9fc32ae1d3e0dbddf610f8796b8ee9dc21062c1f8cf328ffb80fd2ed18000d92",
+    ("hp600", "hash"):
+        "0e99573915a63624702d32fa87a51dc9f70bb1074440f8e9b64e15966925cbee",
+}
+
+
 @functools.cache
 def golden_graph(name):
     """(graph, k): planted clusters at k=4, and a power-law graph with isolated
-    vertices (many BFS restarts) at k=5."""
+    vertices (many BFS restarts) at k=5; larger ones of each kind for
+    BLOCK_TRACES."""
     if name == "hp":
         return generate_hp(HpParams(120, 4, 0.3, 0.05, seed=1))[0], 4
+    if name == "hp600":
+        return generate_hp(HpParams(600, 4, 0.3, 0.05, seed=5))[0], 4
+    if name == "cl2000":
+        return generate_cl(ClParams(2000, 2.5, seed=4)), 8
     return generate_cl(ClParams(300, 2.5, avg_degree=6.0, seed=2)), 5
 
 
@@ -350,6 +435,11 @@ def trace_digest(graph, label):
 @pytest.mark.parametrize("label", list(GOLDEN_CONFIGS))
 def test_golden_traces(graph, label):
     assert trace_digest(graph, label) == GOLDEN_TRACES[graph, label]
+
+
+@pytest.mark.parametrize("graph, label", list(BLOCK_TRACES))
+def test_golden_traces_across_triangle_blocks(graph, label):
+    assert trace_digest(graph, label) == BLOCK_TRACES[graph, label]
 
 
 @given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
