@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import partial
 
 from . import bench as bench_mod
 from .generators import ClParams, HpParams, generate_cl, generate_hp
@@ -30,7 +32,24 @@ def _add_objective_flags(p: argparse.ArgumentParser):
                    default=ObjectiveConfig.marginal_mode)
 
 
+def _check_k(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
+def _pair_alpha(alpha) -> float:
+    """alpha of the pairwise cost family (oracle --pairwise, sdp): 0 keeps only the cut."""
+    if alpha == "auto":
+        raise ValueError("pairwise oracle needs an explicit --alpha")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
 def _config(args) -> ObjectiveConfig:
+    """The objective flags and --k, checked before the graph is read."""
+    _check_k(args.k)
     return ObjectiveConfig(gamma=args.gamma, alpha=args.alpha, nu=args.nu,
                            size_mode=args.size_mode, marginal_mode=args.marginal_mode)
 
@@ -40,7 +59,7 @@ def _load(args):
 
 
 def cmd_partition(args) -> int:
-    config = _config(args)  # flags fail before the graph is read
+    config = _config(args)
     g = _load(args)
     config = config.resolve(g, args.k)
     plan = make_stream(g, args.order, args.seed)
@@ -85,14 +104,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.pairwise and args.alpha == "auto":
-        raise ValueError("pairwise oracle needs an explicit --alpha")
-    config = None if args.pairwise else _config(args)
-    g = _load(args)
     if args.pairwise:
-        res = brute_force_pair_optimal(g, args.k, float(args.alpha))
+        optimum = partial(brute_force_pair_optimal, k=_check_k(args.k),
+                          alpha=_pair_alpha(args.alpha))
     else:
-        res = brute_force_optimal(g, args.k, config)
+        optimum = partial(brute_force_optimal, k=args.k, config=_config(args))
+    res = optimum(_load(args))
     print(f"best_f={res.best_f:.6f} best_g={res.best_g:.6f} "
           f"best_g_shifted={res.best_g_shifted:.6f} "
           f"enumerated={res.partitions_enumerated}")
@@ -101,12 +118,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sdp(args) -> int:
-    g = _load(args)
-    problem = SdpProblem.from_graph(g, args.alpha)
+    alpha = _pair_alpha(args.alpha)
+    bound = approximation_ratio_bound(args.k)  # k must be a power of two >= 2
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    problem = SdpProblem.from_graph(_load(args), alpha)
     sol = solve_sdp(problem, tol=args.tol, max_iters=args.max_iters)
-    rounding = round_hyperplanes(sol, args.k, args.seed, args.trials,
-                                 args.alpha, problem.edges)
-    bound = approximation_ratio_bound(args.k)
+    rounding = round_hyperplanes(sol, args.k, args.seed, args.trials, alpha, problem.edges)
     target = bound * sol.sdp_value
     ok = rounding.mean_shifted >= target
     print(f"sdp_value={sol.sdp_value:.6f} converged={sol.converged} "

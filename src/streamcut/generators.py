@@ -54,7 +54,7 @@ class ClParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.delta <= 1.0:
+        if not self.delta > 1.0:  # NaN fails every comparison
             raise ValueError("delta must be > 1")
         if not 0 < self.avg_degree < self.n:
             raise ValueError("avg_degree must be in (0, n)")

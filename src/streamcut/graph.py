@@ -122,70 +122,59 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
 
 
 def restrict_to_lcc(g: Graph) -> Graph:
-    """Largest connected component, relabeled densely; id_map composed."""
+    """
+    Largest connected component, relabeled densely; id_map composed. Its
+    CSR rows are kept: no edge leaves a component and the renumbering
+    keeps order, so each row stays sorted.
+    """
     adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr),
                      shape=(g.n, g.n))
     ncomp, comp = connected_components(adj, directed=False)
     if ncomp == 1:
         return g
-    keep_comp = np.argmax(np.bincount(comp, minlength=ncomp))
-    keep = np.flatnonzero(comp == keep_comp)
-    edges = g.edge_array()
-    # no edge crosses components, so one endpoint decides
-    mask = comp[edges[:, 0]] == keep_comp
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    sub = remap[edges[mask]]
-    return from_edges(sub, id_map=g.id_map[keep])
+    keep = comp == np.argmax(np.bincount(comp, minlength=ncomp))
+    remap = np.cumsum(keep) - 1
+    indices = remap[g.indices[np.repeat(keep, g.degrees)]]
+    degrees = g.degrees[keep]
+    indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
+    return Graph(n=len(degrees), m=len(indices) // 2, indptr=indptr,
+                 indices=indices, id_map=g.id_map[keep])
 
 
-def _scan_edge_lines(path) -> list[tuple[int, int]]:
+def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     """
-    Line-by-line parse that reports the 1-based line of the first bad row:
-    a token count other than two, a non-integer, a negative, or a label
-    beyond int64.
+    (E, 2) int64 rows of a block of lines, the first of which is line
+    ``lineno``. numpy converts the block at once; a block it rejects is
+    read line by line to name the first bad row (a token count other
+    than two, a non-integer, a negative, or a label beyond int64).
     """
+    body = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    if set(map(len, map(str.split, body))) <= {2}:
+        try:
+            rows = np.array("\n".join(body).split(), dtype=np.int64).reshape(-1, 2)
+        except (ValueError, OverflowError):  # non-integer or beyond int64
+            pass
+        else:
+            if not (rows < 0).any():
+                return rows
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(path, lineno, line.rstrip("\n"))
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(path, lineno, line.rstrip("\n")) from None
-            if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
-                raise EdgeListParseError(path, lineno, line.rstrip("\n"))
-            rows.append((u, v))
-    return rows
-
-
-def _parse_edge_rows(path) -> np.ndarray | None:
-    """
-    (E, 2) int64 rows of an edge list, converted by numpy in blocks of
-    lines; None if any row is malformed.
-    """
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    with open(path) as fh:
-        while lines := fh.readlines(_PARSE_BLOCK_CHARS):
-            body = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-            if not body:
-                continue
-            if set(map(len, map(str.split, body))) != {2}:
-                return None
-            tokens = "\n".join(body).split()
-            try:
-                block = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-            except (ValueError, OverflowError):  # non-integer or beyond int64
-                return None
-            if block.min() < 0:
-                return None
-            blocks.append(block)
-    return np.concatenate(blocks)
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise EdgeListParseError(path, lineno, line.rstrip("\n"))
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(path, lineno, line.rstrip("\n")) from None
+        if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
+            raise EdgeListParseError(path, lineno, line.rstrip("\n"))
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def load_edge_list(path, lcc: bool = True) -> Graph:
@@ -196,13 +185,16 @@ def load_edge_list(path, lcc: bool = True) -> Graph:
     simple undirected graph; with lcc=True (the default for file input)
     the graph is restricted to its largest connected component.
 
-    Rows are converted by numpy in blocks; if any row is malformed
-    (token count, non-integer, negative, int64 overflow) the file is
-    rescanned line by line to name the first bad line.
+    The file is read once, in blocks of lines; a malformed row raises
+    EdgeListParseError naming its line.
     """
-    edges = _parse_edge_rows(path)
-    if edges is None:
-        edges = np.array(_scan_edge_lines(path), dtype=np.int64).reshape(-1, 2)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    lineno = 1
+    with open(path) as fh:
+        while lines := fh.readlines(_PARSE_BLOCK_CHARS):
+            blocks.append(_block_rows(path, lines, lineno))
+            lineno += len(lines)
+    edges = np.concatenate(blocks)
     if len(edges) == 0:
         raise EmptyGraphError(f"{path}: no edges found")
     g = from_edges(edges)

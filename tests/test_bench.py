@@ -99,10 +99,12 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = fennel\n{extr
     ({"graph": "hp:n=0,k=match,p=0.5,q=0.1"}, "n and k must be >= 1"),
     ({"graph": "cl:n=1,delta=2.5"}, "n must be >= 2"),
     ({"graph": "cl:n=50,delta=1"}, "delta must be > 1"),
+    ({"graph": "cl:n=50,delta=nan"}, "delta must be > 1"),
     ({"graph": "cl:n=50,delta=2.5,avg_degree=50"}, "avg_degree must be in (0, n)"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
-        "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_avg_degree"])
+        "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
+        "cl_avg_degree"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):

@@ -120,13 +120,28 @@ def test_nan_gamma_reports_error(tmp_path, capsys):
     assert "error:" in stderr and "gamma must be finite" in stderr
 
 
-@pytest.mark.parametrize("command", [["partition"], ["eval", "--assignment", "a.csv"],
-                                     ["oracle"]])
+@pytest.mark.parametrize("command", [
+    (["partition", "--k", "2", "--gamma", "nan"], "gamma must be finite"),
+    (["eval", "--assignment", "a.csv", "--k", "2", "--gamma", "nan"], "gamma must be finite"),
+    (["oracle", "--k", "2", "--gamma", "nan"], "gamma must be finite"),
+    (["partition", "--k", "0"], "k must be >= 1"),
+    (["eval", "--assignment", "a.csv", "--k", "0"], "k must be >= 1"),
+    (["oracle", "--k", "0"], "k must be >= 1"),
+    (["oracle", "--k", "0", "--pairwise", "--alpha", "0.5"], "k must be >= 1"),
+    (["oracle", "--k", "2", "--pairwise", "--alpha", "nan"], "alpha must be finite and >= 0"),
+    (["oracle", "--k", "2", "--pairwise", "--alpha", "inf"], "alpha must be finite and >= 0"),
+    (["oracle", "--k", "2", "--pairwise", "--alpha", "-1"], "alpha must be finite and >= 0"),
+    (["sdp", "--k", "0", "--alpha", "0.5"], "power of two >= 2"),
+    (["sdp", "--k", "3", "--alpha", "0.5"], "power of two >= 2"),
+    (["sdp", "--k", "2", "--alpha", "0.5", "--trials", "0"], "trials must be >= 1"),
+    (["sdp", "--k", "2", "--alpha", "nan"], "alpha must be finite and >= 0"),
+    (["sdp", "--k", "2", "--alpha", "-0.5"], "alpha must be finite and >= 0"),
+])
 def test_bad_flag_reported_before_the_graph_is_read(capsys, command):
-    code, _, stderr = run(capsys, *command, "--graph", "/nonexistent.txt",
-                          "--k", "2", "--gamma", "nan")
+    flags, message = command
+    code, _, stderr = run(capsys, *flags, "--graph", "/nonexistent.txt")
     assert code == 1
-    assert "gamma must be finite" in stderr
+    assert "error:" in stderr and message in stderr
 
 
 def test_pairwise_oracle_alpha_checked_before_the_graph_is_read(capsys):

@@ -111,6 +111,8 @@ def test_cl_mean_degree_tracks_request():
 def test_cl_parameter_validation():
     with pytest.raises(ValueError):
         ClParams(n=100, delta=1.0, seed=0)  # slope must exceed 1
+    with pytest.raises(ValueError, match="delta must be > 1"):
+        ClParams(n=200, delta=float("nan"))
     with pytest.raises(ValueError):
         ClParams(n=100, delta=2.5, avg_degree=0.0, seed=0)
 

@@ -1,12 +1,15 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
-from streamcut.graph import (EdgeListParseError, EmptyGraphError, from_edges,
-                             load_edge_list, restrict_to_lcc, save_edge_list)
+from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError,
+                             from_edges, load_edge_list, restrict_to_lcc, save_edge_list)
 from conftest import graph_from_pairs, random_gnp
 
 # sha256 of the (indptr, indices, id_map) bytes of generated graphs: a change
@@ -188,6 +191,44 @@ def test_lcc_identity_when_connected(two_triangles):
     assert restrict_to_lcc(two_triangles) is two_triangles
 
 
+def lcc_by_rebuild(g):
+    """Reference: the largest component's edges, renumbered and rebuilt by from_edges."""
+    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr),
+                     shape=(g.n, g.n))
+    ncomp, comp = connected_components(adj, directed=False)
+    keep_comp = np.argmax(np.bincount(comp, minlength=ncomp))
+    keep = np.flatnonzero(comp == keep_comp)
+    edges = g.edge_array()
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    return from_edges(remap[edges[comp[edges[:, 0]] == keep_comp]], id_map=g.id_map[keep])
+
+
+@st.composite
+def several_components(draw):
+    """Graphs of a few disjoint random blocks and isolated vertices, labels shuffled."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    pairs, base = [], 0
+    for size in sizes:
+        vertex = st.integers(base, base + size - 1)
+        pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=3 * size))
+        base += size
+    edges = perm[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+    return from_edges(edges, id_map=np.arange(n, dtype=np.int64) * 3 + 5)
+
+
+@given(several_components())
+@settings(max_examples=150, deadline=None)
+def test_lcc_equals_rebuild_from_edge_list(g):
+    sub, ref = restrict_to_lcc(g), lcc_by_rebuild(g)
+    assert (sub.n, sub.m) == (ref.n, ref.m)
+    for name in ("indptr", "indices", "id_map"):
+        a, b = getattr(sub, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_edge_list_round_trip(tmp_path, two_triangles):
     p = tmp_path / "g.txt"
     save_edge_list(two_triangles, p)
@@ -225,16 +266,26 @@ def test_edge_list_rejects_negatives_and_empty(tmp_path):
 
 
 def test_edge_list_parse_errors_name_first_bad_line(tmp_path):
-    """Every malformed-row kind, also past the first block of lines, names its line."""
-    good = "".join(f"{i} {i + 1}\n" for i in range(40_000))
+    """
+    Every malformed-row kind names its line, in the first block of lines, on
+    the first line of a later block, inside a later block, or last.
+    """
+    lines = ["# header\n"] + [f"{i} {i + 1}\n" for i in range(10_000)]
+    fh = io.StringIO("".join(lines))
+    sizes = [len(block) for block in iter(lambda: fh.readlines(_PARSE_BLOCK_CHARS), [])]
+    assert len(sizes) > 4
+    later = sum(sizes[:3])  # first line of the fourth block
+    positions = (5, later, later + sizes[3] // 2, len(lines))
     # "1 2 3" then "4": two tokens a line on average, neither line well formed
     for bad in ("1 2 3", "7", "1 2 3\n4", "1 x", "1.0 2", "3 -4", f"0 {2**63}"):
-        p = tmp_path / "bad.txt"
-        p.write_text("# header\n" + good + bad + "\n5 6\n")
-        with pytest.raises(EdgeListParseError) as err:
-            load_edge_list(p)
-        assert err.value.lineno == 40_002
-        assert repr(bad.split("\n")[0]) in str(err.value)
+        text = repr(bad.split("\n")[0])
+        for at in positions:
+            p = tmp_path / "bad.txt"
+            p.write_text("".join(lines[:at]) + bad + "\n" + "".join(lines[at:]))
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(p)
+            assert err.value.lineno == at + 1
+            assert str(err.value) == f"{p}:{at + 1}: malformed edge line {text}"
 
 
 def test_edge_list_accepts_int_syntax_and_largest_label(tmp_path):
