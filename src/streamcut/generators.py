@@ -8,7 +8,9 @@ import numpy as np
 
 from .graph import Graph, from_edges
 
-_PAIR_BLOCK = 4_000_000  # pair draws per chunk; fixed so seeds stay meaningful
+# pair draws per chunk; it bounds memory only: the draws are taken row-major,
+# so any chunk size gives the same uniforms to the same pairs
+_PAIR_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)

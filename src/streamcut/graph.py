@@ -147,18 +147,26 @@ def restrict_to_lcc(g: Graph) -> Graph:
 def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     """
     (E, 2) int64 rows of a block of lines, the first of which is line
-    ``lineno``. numpy converts the block at once; a block it rejects is
-    read line by line to name the first bad row (a token count other
-    than two, a non-integer, a negative, or a label beyond int64).
+    ``lineno``. numpy's C text reader converts the block at once, after
+    whole-line comments are dropped; a block it rejects (a token count
+    other than two, a non-integer, a label beyond int64), one with a
+    negative label and one with a non-ASCII character (numpy 2.4 reads
+    U+01FE then "1" as 4621) are read line by line to name the first bad
+    row.
     """
-    body = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-    if set(map(len, map(str.split, body))) <= {2}:
+    body, text = lines, "".join(lines)
+    if "#" in text:  # "1 2 # x" is kept, and rejected below (comments=None)
+        body = [s for s in lines if not s.lstrip().startswith("#")]
+        text = "".join(body)
+    if not text or text.isspace():  # loadtxt warns on a block with no data
+        return np.empty((0, 2), dtype=np.int64)
+    if text.isascii():
         try:
-            rows = np.array("\n".join(body).split(), dtype=np.int64).reshape(-1, 2)
-        except (ValueError, OverflowError):  # non-integer or beyond int64
+            rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
             pass
         else:
-            if not (rows < 0).any():
+            if rows.shape[1] == 2 and not (rows < 0).any():
                 return rows
     rows = []
     for lineno, line in enumerate(lines, start=lineno):

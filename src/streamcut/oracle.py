@@ -31,6 +31,8 @@ def _enumerate_min_f(g: Graph, k: int, batch_cost) -> tuple[np.ndarray, float, i
     First minimizer in enumeration order wins, so results are stable.
     """
     n = g.n
+    if k < 1:  # k=0 would enumerate nothing and return no assignment
+        raise ValueError(f"k must be >= 1, got {k}")
     if k ** n > MAX_ASSIGNMENTS:
         raise InstanceTooLarge(
             f"k^n = {k ** n} labeled assignments exceeds the {MAX_ASSIGNMENTS} guard")
@@ -99,7 +101,11 @@ def brute_force_pair_optimal(g: Graph, k: int, alpha: float) -> OracleResult:
     whose shifted maximization form is sum_i e(S_i,S_i) + alpha*(cross
     pairs). This is the integral problem the semidefinite relaxation
     bounds; best_g_shifted = best_g + alpha*C(n,2) holds exactly here.
+    alpha must be finite and >= 0 (0 keeps only the cut).
     """
+    if not 0 <= alpha < np.inf:  # NaN fails every comparison
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
     def batch_cost(A):
         cut, sizes = _cut_and_sizes(g, k, A)
         s = sizes.astype(np.float64)

@@ -1,6 +1,7 @@
 """Shared fixtures: small named graphs and random-graph helpers."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from streamcut.graph import Graph, from_edges
 
@@ -46,6 +47,21 @@ def two_triangles() -> Graph:
 @pytest.fixture
 def path5() -> Graph:
     return graph_from_pairs([(i, i + 1) for i in range(4)])
+
+
+@st.composite
+def several_components(draw, max_size=8):
+    """Graphs of a few disjoint random blocks and isolated vertices, labels shuffled."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=2, max_size=5))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    pairs, base = [], 0
+    for size in sizes:
+        vertex = st.integers(base, base + size - 1)
+        pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=3 * size))
+        base += size
+    edges = perm[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+    return from_edges(edges, id_map=np.arange(n, dtype=np.int64) * 3 + 5)
 
 
 # ---- acceptance-criterion reporting ----------------------------------------

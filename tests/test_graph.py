@@ -9,8 +9,9 @@ from scipy.sparse.csgraph import connected_components
 
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError,
-                             from_edges, load_edge_list, restrict_to_lcc, save_edge_list)
-from conftest import graph_from_pairs, random_gnp
+                             _block_rows, from_edges, load_edge_list, restrict_to_lcc,
+                             save_edge_list)
+from conftest import graph_from_pairs, random_gnp, several_components
 
 # sha256 of the (indptr, indices, id_map) bytes of generated graphs: a change
 # to the build must leave every array bit-identical
@@ -204,21 +205,6 @@ def lcc_by_rebuild(g):
     return from_edges(remap[edges[comp[edges[:, 0]] == keep_comp]], id_map=g.id_map[keep])
 
 
-@st.composite
-def several_components(draw):
-    """Graphs of a few disjoint random blocks and isolated vertices, labels shuffled."""
-    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
-    n = sum(sizes) + draw(st.integers(0, 3))
-    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
-    pairs, base = [], 0
-    for size in sizes:
-        vertex = st.integers(base, base + size - 1)
-        pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=3 * size))
-        base += size
-    edges = perm[np.array(pairs, dtype=np.int64).reshape(-1, 2)]
-    return from_edges(edges, id_map=np.arange(n, dtype=np.int64) * 3 + 5)
-
-
 @given(several_components())
 @settings(max_examples=150, deadline=None)
 def test_lcc_equals_rebuild_from_edge_list(g):
@@ -286,6 +272,105 @@ def test_edge_list_parse_errors_name_first_bad_line(tmp_path):
                 load_edge_list(p)
             assert err.value.lineno == at + 1
             assert str(err.value) == f"{p}:{at + 1}: malformed edge line {text}"
+
+
+def line_scan_rows(path, lines, lineno):
+    """Reference: the line-by-line reader, (E, 2) int64 rows or the first bad line's error."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            u, v = map(int, parts)
+        except ValueError:  # a token count other than two, or a non-integer
+            raise EdgeListParseError(path, lineno, line.rstrip("\n")) from None
+        if not (0 <= u < 2**63 and 0 <= v < 2**63):
+            raise EdgeListParseError(path, lineno, line.rstrip("\n"))
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def outcome(load):
+    """A loaded graph's arrays, or the error the load raised."""
+    try:
+        g = load()
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "lineno", None)
+    return g.n, g.m, [(a.dtype, a.tolist()) for a in (g.indptr, g.indices, g.id_map)]
+
+
+def load_by_line_scan(path, lcc):
+    with open(path) as fh:
+        edges = line_scan_rows(path, fh.readlines(), 1)
+    if len(edges) == 0:
+        raise EmptyGraphError(f"{path}: no edges found")
+    g = from_edges(edges)
+    return restrict_to_lcc(g) if lcc else g
+
+
+# integer spellings numpy's C reader and Python's int() might read differently:
+# numpy must give int()'s value or reject the block and leave it to the line scan
+# (it reads U+01FE then "1" as 4621, so non-ASCII blocks skip it)
+INT_PROBES = ("+1", "-0", "00012", "1_0", "\u0661\u0662", "\uff11\uff12", "1.0", "0x10",
+              "1e3", str(2**63 - 1), str(2**63), "\u01fe1")
+PARSE_CASES = {
+    **{f"int_{tok!r}": f"{tok} 5\n5 {tok}\n" for tok in INT_PROBES},
+    "trailing_comment": "1 2 # x\n",
+    "nul_in_token": "1\x002 5\n",
+    "blank_block": (" " * 99 + "\n") * 400,
+    "comment_block": ("# " + "c" * 97 + "\n") * 400,
+    "separators": "1\x0b2\n3\x0c4\n5\x1c6\n\x0c7 \x1c 8\x0b\n",
+    "separator_inside_row": "1 2\x0c3 4\n",
+    "crlf": "1 2\r\n3 4\r\n\r\n# c\r\n",
+}
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+@pytest.mark.parametrize("where", ["first_block", "later_block"])
+def test_edge_list_parse_equals_line_scan(tmp_path, case, where):
+    """The block reader gives the line scan's graph or error, in any block."""
+    lines = ["# header\n"] + [f"{i} {i + 1}\n" for i in range(4000)]
+    fh = io.StringIO("".join(lines))
+    sizes = [len(block) for block in iter(lambda: fh.readlines(_PARSE_BLOCK_CHARS), [])]
+    at = 5 if where == "first_block" else sum(sizes[:2]) + 3
+    p = tmp_path / "g.txt"
+    p.write_text("".join(lines[:at]) + PARSE_CASES[case] + "".join(lines[at:]))
+    with open(p) as fh:
+        blocks = list(iter(lambda: fh.readlines(_PARSE_BLOCK_CHARS), []))
+    if case.endswith("_block"):  # one block holds nothing else
+        assert any(all(s.isspace() or s.lstrip().startswith("#") for s in b) for b in blocks)
+    for lcc in (False, True):
+        assert outcome(lambda: load_edge_list(p, lcc=lcc)) \
+            == outcome(lambda: load_by_line_scan(p, lcc))
+
+
+@pytest.mark.parametrize("content", ["0 1\r\n1 2\r\n# c\r\n\r\n2 3\r\n",
+                                     "".join(f"{i}\n" for i in range(3000)),
+                                     "".join(f"{i}\r\n" for i in range(3000))],
+                         ids=["crlf", "one_column", "one_column_crlf"])
+def test_edge_list_whole_file_cases_equal_line_scan(tmp_path, content):
+    p = tmp_path / "g.txt"
+    p.write_bytes(content.encode())
+    assert outcome(lambda: load_edge_list(p, lcc=False)) \
+        == outcome(lambda: load_by_line_scan(p, False))
+
+
+@given(st.lists(st.text("0123456789 \t\x0b\x0c\x1c#+-_.ex\x00\u01fe\u0661", max_size=12),
+                min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_block_rows_equal_line_scan(texts):
+    """Random lines: a block's rows, or its first bad line, equal the line scan's."""
+    lines = [t + "\n" for t in texts]
+
+    def rows(read):
+        try:
+            r = read("f", lines, 7)
+        except EdgeListParseError as err:
+            return str(err)
+        return r.dtype, r.shape, r.tolist()
+    assert rows(_block_rows) == rows(line_scan_rows)
 
 
 def test_edge_list_accepts_int_syntax_and_largest_label(tmp_path):

@@ -74,6 +74,27 @@ def test_size_guard():
         brute_force_optimal(g, 4, ObjectiveConfig(alpha=1.0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: brute_force_optimal(g, 0, ObjectiveConfig(alpha=0.5)),
+    lambda g: brute_force_optimal(g, -1, ObjectiveConfig(alpha=0.5)),
+    lambda g: brute_force_pair_optimal(g, 0, 1.0),
+    lambda g: brute_force_pair_optimal(g, 2, float("nan")),
+    lambda g: brute_force_pair_optimal(g, 2, float("inf")),
+    lambda g: brute_force_pair_optimal(g, 2, -0.5),
+], ids=["k0", "k-1", "pair_k0", "pair_alpha_nan", "pair_alpha_inf", "pair_alpha_neg"])
+def test_oracle_rejects_k_below_one_and_bad_pairwise_alpha(triangle, call):
+    """k < 1 enumerates nothing, and a NaN or infinite alpha prices every
+    assignment at NaN or inf, so no assignment would be best. A negative
+    alpha leaves the nonnegative family the relaxation bounds."""
+    with pytest.raises(ValueError, match="k must be >= 1|alpha must be finite"):
+        call(triangle)
+
+
+def test_pair_oracle_alpha_zero_is_the_min_cut(triangle):
+    res = brute_force_pair_optimal(triangle, 2, 0.0)
+    assert res.best_f == 0.0 and np.array_equal(res.best_assignment, [0, 0, 0])
+
+
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_no_heuristic_beats_the_oracle(heuristic):
     cfg = ObjectiveConfig(gamma=1.5)

@@ -1,9 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamcut.graph import from_edges
 from streamcut.stream import ORDER_KINDS, make_stream
-from conftest import graph_from_pairs, random_gnp
+from conftest import graph_from_pairs, random_gnp, several_components
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -66,3 +69,65 @@ def test_dfs_goes_deep_on_a_path():
 def test_unknown_order_rejected(triangle):
     with pytest.raises(ValueError):
         make_stream(triangle, "sorted", seed=0)
+
+
+def pick_start_by_scan(rng, visited):
+    """Reference restart: the draw-th unvisited vertex of a full scan."""
+    unvisited = np.flatnonzero(~visited)
+    return int(unvisited[rng.integers(len(unvisited))])
+
+
+def bfs_by_queue(g, seed):
+    """Reference BFS: a FIFO queue over ascending neighbours."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seq, visited = [], np.zeros(g.n, dtype=bool)
+    while len(seq) < g.n:
+        start = pick_start_by_scan(rng, visited)
+        visited[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            seq.append(v)
+            for u in g.neighbors(v):
+                if not visited[u]:
+                    visited[u] = True
+                    queue.append(int(u))
+    return np.array(seq, dtype=np.int64)
+
+
+def dfs_by_scan(g, seed):
+    """Reference DFS: a stack, lowest-index neighbour first, full-scan restarts."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seq, visited = [], np.zeros(g.n, dtype=bool)
+    while len(seq) < g.n:
+        stack = [pick_start_by_scan(rng, visited)]
+        while stack:
+            v = stack.pop()
+            if visited[v]:
+                continue
+            visited[v] = True
+            seq.append(v)
+            stack.extend(int(u) for u in g.neighbors(v)[::-1] if not visited[u])
+    return np.array(seq, dtype=np.int64)
+
+
+REFERENCE_ORDERS = {"bfs": bfs_by_queue, "dfs": dfs_by_scan}
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+@given(g=several_components(max_size=40), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_traversals_equal_queue_and_scan_reference(kind, g, seed):
+    seq = make_stream(g, kind, seed).sequence
+    ref = REFERENCE_ORDERS[kind](g, seed)
+    assert seq.dtype == ref.dtype and np.array_equal(seq, ref)
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+def test_traversals_on_disjoint_edges_equal_reference(kind):
+    """n/2 components, each begun by a restart draw: this pins the restart picker."""
+    n = 2000
+    g = from_edges(np.random.default_rng(3).permutation(n).reshape(-1, 2))
+    for seed in (0, 1):
+        assert np.array_equal(make_stream(g, kind, seed).sequence,
+                              REFERENCE_ORDERS[kind](g, seed))
