@@ -84,8 +84,7 @@ def cmd_generate(args) -> int:
         if args.labels:
             with open(args.labels, "w") as fh:
                 fh.write("vertex,label\n")
-                for v in range(g.n):
-                    fh.write(f"{v},{labels[v]}\n")
+                fh.writelines(f"{v},{c}\n" for v, c in enumerate(labels.tolist()))
     else:
         g = generate_cl(ClParams(n=args.n, delta=args.delta, avg_degree=args.avg_degree,
                                  i0=args.i0, seed=args.seed))

@@ -6,11 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, from_edges
+from .graph import Graph
 
-# pair draws per chunk; it bounds memory only: the draws are taken row-major,
-# so any chunk size gives the same uniforms to the same pairs
-_PAIR_BLOCK = 4_000_000
+# uniforms drawn per block of rows (one row at least). It bounds memory only:
+# the draws are taken row-major, so any block size gives the same uniforms to
+# the same pairs. Smaller blocks skip more of the square below the diagonal
+# (n = 2000 is cut into 8 blocks).
+_PAIR_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -64,22 +66,40 @@ class ClParams:
             raise ValueError("i0 must be >= 1")
 
 
-def _sample_pairs(rng: np.random.Generator, n: int, prob_row_block) -> np.ndarray:
-    """Bernoulli-sample the upper triangle in row blocks; returns (E, 2) edges."""
-    chunks = []
+def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
+    """
+    Join each pair i < j with probability prob(lo, hi)[i - lo, j - lo - 1];
+    prob(lo, hi) covers rows [lo, hi) and the columns lo+1..n-1 only, since
+    no row of the block can keep a column <= lo.
+
+    Each block of rows draws its full (hi - lo, n) uniforms, so the stream
+    is the row-major one over the n x n square whatever _PAIR_BLOCK is; the
+    draws on and below the diagonal are taken and never read. A hit (i, j)
+    is the CSR key i*n + j of row i and j*n + i of row j. The first kind is
+    increasing across blocks, the second sorted within a block (read off the
+    transposed hits), so one stable sort merges the runs into row-major
+    order. The pairs are distinct and loop-free: nothing is deduplicated.
+    """
     block = max(1, _PAIR_BLOCK // n)
-    cols = np.arange(n)
+    upper, lower = [], []
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        rows = np.arange(lo, hi)
-        prob = prob_row_block(rows)
-        hit = (rng.random((hi - lo, n)) < prob) & (cols[None, :] > rows[:, None])
-        ii, jj = np.nonzero(hit)
-        if len(ii):
-            chunks.append(np.column_stack([rows[ii], jj]))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+        b, w = hi - lo, n - lo - 1
+        draws = rng.random((b, n))[:, lo + 1:]
+        hit = draws < prob(lo, hi)
+        hit[:, :b] = np.triu(hit[:, :b])  # keep (lo + r, lo + 1 + c) for r <= c only
+        flat = np.flatnonzero(hit)  # r*w + c for the pair (lo + r, lo + 1 + c)
+        upper.append(flat + flat // w * (lo + 1) + (lo * (n + 1) + 1))
+        flat = np.flatnonzero(hit.T)  # c*b + r
+        lower.append(flat + flat // b * (n - b) + ((lo + 1) * n + lo))
+    key = np.concatenate(upper + lower)
+    del upper, lower  # free the per-block keys before the sort takes its buffer
+    key.sort(kind="stable")
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    key -= np.repeat(np.arange(n) * n, np.diff(indptr))
+    key.setflags(write=False)
+    indptr.setflags(write=False)
+    return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=np.arange(n))
 
 
 def generate_hp(params: HpParams):
@@ -87,13 +107,11 @@ def generate_hp(params: HpParams):
     rng = np.random.Generator(np.random.PCG64(params.seed))
     labels = rng.integers(params.k, size=params.n)
 
-    def prob(rows):
-        same = labels[rows][:, None] == labels[None, :]
+    def prob(lo, hi):
+        same = labels[lo:hi, None] == labels[None, lo + 1:]
         return np.where(same, params.p, params.q)
 
-    edges = _sample_pairs(rng, params.n, prob)
-    g = from_edges(edges, id_map=np.arange(params.n))
-    return g, labels
+    return _sample_graph(rng, params.n, prob), labels
 
 
 def cl_weights(params: ClParams) -> np.ndarray:
@@ -123,8 +141,11 @@ def generate_cl(params: ClParams) -> Graph:
         raise ValueError("degenerate weight sequence")
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    def prob(rows):
-        return np.minimum(1.0, np.outer(w[rows], w) / total)
+    # no min(1, .): a uniform u < 1 is below w_i*w_j/W exactly when it is
+    # below min(1, w_i*w_j/W)
+    def prob(lo, hi):
+        p = np.outer(w[lo:hi], w[lo + 1:])
+        p /= total
+        return p
 
-    edges = _sample_pairs(rng, params.n, prob)
-    return from_edges(edges, id_map=np.arange(params.n))
+    return _sample_graph(rng, params.n, prob)

@@ -214,9 +214,11 @@ class PartitionRun:
         starts, pu, pw = pairs or (None,) * 3
         for j, v in enumerate(vertices):
             nbr = indices[indptr[v]:indptr[v + 1]]
-            placed = assignment[nbr]
-            placed = placed[placed >= 0]
-            counts = np.bincount(placed, minlength=k)
+            slots = assignment[nbr]
+            slots += 1  # slot 0 counts the unplaced neighbours
+            counts = np.bincount(slots, minlength=k + 1)
+            placed = len(nbr) - int(counts[0])
+            counts = counts[1:]
             stats.neighbor_scans += len(nbr)
             signal = counts
             if tri is not None:
@@ -237,7 +239,7 @@ class PartitionRun:
             assignment[v] = c
             sizes[c] += 1
             internal[c] += inside
-            snap.cut_edges += len(placed) - inside
+            snap.cut_edges += placed - inside
             snap.assigned_count += 1
 
 

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from streamcut.cli import main
+from streamcut.generators import HpParams, generate_hp
 from streamcut.graph import load_edge_list, save_edge_list
 from conftest import graph_from_pairs
 
@@ -24,6 +27,21 @@ def test_generate_hp_writes_graph_and_labels(tmp_path, capsys):
     lines = labels.read_text().splitlines()
     assert lines[0] == "vertex,label"
     assert len(lines) == 81
+
+
+def test_generate_hp_output_bytes(tmp_path, capsys):
+    """Edge and label files are byte-identical to the per-row writer (sha256
+    recorded from it); two-digit labels included (k=12)."""
+    out, labels = tmp_path / "hp.txt", tmp_path / "labels.csv"
+    run(capsys, "generate", "hp", "--n", "300", "--k", "12", "--p", "0.5", "--q", "0.1",
+        "--seed", "3", "--out", str(out), "--labels", str(labels))
+    _, truth = generate_hp(HpParams(300, 12, 0.5, 0.1, seed=3))
+    expected = "vertex,label\n" + "".join(f"{v},{truth[v]}\n" for v in range(300))
+    assert labels.read_bytes() == expected.encode()
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() \
+        == "d95961cab7998e75e5f22992b0d83285841cadee56dbcf801c6dd6ef1cb0a636"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == "d5ad71b5b7547315bd08a103c6990b077d86ed8dbf4a86c3944cceb521d48ae2"
 
 
 def test_generate_cl(tmp_path, capsys):

@@ -1,8 +1,118 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from streamcut import generators
 from streamcut.generators import (ClParams, HpParams, cl_weights, generate_cl,
                                   generate_hp)
+from streamcut.graph import from_edges
+
+# sha256 of the (indptr, indices, id_map) bytes of instances that span many
+# row blocks at the default _PAIR_BLOCK, recorded from the edge-list sampler
+# below (HP: 8 blocks of <= 262 rows; CL: 18 blocks of <= 174 rows)
+GOLDEN_MULTI_BLOCK = {
+    HpParams(2000, 8, 0.8, 0.5, seed=7): (
+        "9689e43453211f0eaf6979566b467b976bfff8c76caa47b82128fab59f14ef76",
+        "ff86c007c986174985383e11ddb6f69b3e2b2bce09b6c7a27b21a7bf7a29e617",
+        "55f385cf2332d9056aaed6f496e7bebd2df52c6a9547ce2144b309432d4b0290"),
+    ClParams(3000, 2.5, seed=1): (
+        "87dc79f8e98babbea2946b07001f2df7ef0b8c09e39e2297b109e3594deed963",
+        "e093e6fc9d6933f7ae7d0a149964a7fc54df443aab51ac4a4c822cac93782c32",
+        "e8c9ceaf5aacc63c25b4cdd8542592f9d58aff50e3e8fc6c55591d3d8f596562"),
+}
+
+
+def reference_sample(params):
+    """
+    The edge-list sampler the direct CSR build replaced: probabilities and
+    comparisons over each whole (block, n) draw, the upper triangle masked
+    after, its pairs stacked into an edge list and built by from_edges.
+    """
+    n = params.n
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    if isinstance(params, HpParams):
+        labels = rng.integers(params.k, size=n)
+
+        def prob(rows):
+            return np.where(labels[rows][:, None] == labels[None, :], params.p, params.q)
+    else:
+        w = cl_weights(params)
+
+        def prob(rows):
+            return np.minimum(1.0, np.outer(w[rows], w) / w.sum())
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    block = max(1, 4_000_000 // n)
+    cols = np.arange(n)
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        hit = (rng.random((len(rows), n)) < prob(rows)) & (cols[None, :] > rows[:, None])
+        ii, jj = np.nonzero(hit)
+        chunks.append(np.column_stack([rows[ii], jj]))
+    return from_edges(np.concatenate(chunks), id_map=np.arange(n))
+
+
+def sample(params):
+    return generate_hp(params)[0] if isinstance(params, HpParams) else generate_cl(params)
+
+
+def assert_same_build(g, ref):
+    assert (g.n, g.m) == (ref.n, ref.m) and type(g.m) is int
+    for name in ("indptr", "indices", "id_map"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.flags.writeable == b.flags.writeable, name
+        assert np.array_equal(a, b), name
+    # simple and symmetric: each row strictly increasing and loop-free, and
+    # the pair (v, u) listed for every (u, v)
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    step = np.diff(g.indices)[np.diff(rows) == 0]
+    assert (step > 0).all() and not (g.indices == rows).any()
+    key, rev = rows * g.n + g.indices, g.indices * g.n + rows
+    assert np.array_equal(np.sort(key), np.sort(rev))
+
+
+_PROBS = st.sampled_from([0.0, 1.0, 0.3, 0.85])
+_MODELS = st.one_of(
+    st.builds(HpParams, n=st.integers(1, 40), k=st.integers(1, 4), p=_PROBS, q=_PROBS,
+              seed=st.integers(0, 2**32)),
+    st.builds(ClParams, n=st.integers(2, 40), delta=st.sampled_from([1.5, 2.1, 3.0]),
+              avg_degree=st.floats(0.5, 1.9), i0=st.sampled_from([None, 1, 2]),
+              seed=st.integers(0, 2**32)))
+
+
+@pytest.mark.filterwarnings("ignore:q > p")
+@settings(max_examples=200, deadline=None)
+@given(params=_MODELS, block=st.sampled_from(["1", "n-1", "n", "3n+1", "default", "any"]),
+       any_block=st.integers(1, 2000))
+def test_direct_csr_build_equals_edge_list_sampler(params, block, any_block):
+    n = params.n
+    size = {"1": 1, "n-1": n - 1, "n": n, "3n+1": 3 * n + 1, "any": any_block,
+            "default": generators._PAIR_BLOCK}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_PAIR_BLOCK", size)
+        assert_same_build(sample(params), reference_sample(params))
+
+
+@pytest.mark.parametrize("params", list(GOLDEN_MULTI_BLOCK), ids=["hp2000", "cl3000"])
+def test_multi_block_instances_match_golden(params):
+    assert -(-params.n // (generators._PAIR_BLOCK // params.n)) >= 8  # blocks of rows
+    g = sample(params)
+    arrays = (g.indptr, g.indices, g.id_map)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) \
+        == GOLDEN_MULTI_BLOCK[params]
+
+
+def test_cl_where_min_one_binds_equals_clipped_reference():
+    # i0=1 at a high average degree: the largest weights' products exceed W,
+    # so those pairs are joined with probability 1
+    params = ClParams(n=600, delta=2.1, avg_degree=60.0, i0=1, seed=4)
+    w = cl_weights(params)
+    assert w[0] * w[0] / w.sum() > 1.0
+    g = generate_cl(params)
+    assert_same_build(g, reference_sample(params))
+    sure = np.flatnonzero(w[0] * w / w.sum() >= 1.0)
+    assert len(sure) > 2 and np.isin(sure[1:], g.neighbors(0)).all()
 
 
 def edge_set(g):
