@@ -12,8 +12,10 @@ from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import Graph, load_edge_list
 from .metrics import (CSV_COLUMNS, RunResult, compute_lambda, compute_rho,
                       aggregate_rows, error_row, evaluate_run, result_to_row)
-from .objective import AUTO, ObjectiveConfig, build_snapshot, eval_f, eval_g
-from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
+from .objective import (AUTO, ObjectiveConfig, PartitionSnapshot, build_snapshot, eval_f,
+                        eval_g)
+from .partitioner import (HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, StreamStats,
+                          partition_stream)
 from .stream import ORDER_KINDS, StreamPlan, make_stream
 
 MATCH = "match"  # a generator's k that tracks the run's k
@@ -66,6 +68,14 @@ class BenchSpec:
             raise BenchSpecError("k, gamma, order and seeds must each be nonempty")
         if min(self.k_list) < 1 or min(self.seeds) < 0:
             raise BenchSpecError("k must be >= 1 and seeds >= 0")
+        for key, values in (("k", self.k_list), ("gamma", [c.gamma for c in self.objectives]),
+                            ("order", self.order_list), ("heuristic", self.heuristic_list),
+                            ("seeds", self.seeds)):
+            seen = set()
+            for x in values:  # a repeat would run and count the same runs twice
+                if x in seen:
+                    raise BenchSpecError(f"repeated {key} value {x!r}")
+                seen.add(x)
         for h in self.heuristic_list:
             if h not in HEURISTICS:
                 raise BenchSpecError(f"unknown heuristic {h!r}")
@@ -200,9 +210,11 @@ def run_bench(spec: BenchSpec):
     CSV: one row per run, then mean/std aggregate rows per group. Failures
     become error rows; the matrix keeps going. Each graph instance is built
     (or fails to build) once, and runs on it with the same order and seed
-    share one (read-only) arrival sequence. Instances and sequences are
-    dropped when their directive is done, and for a k=match generator when
-    its k is done.
+    share one (read-only) arrival sequence. A rule that reads no objective
+    setting is partitioned once per (instance, k, order, seed) and that run
+    is evaluated, runtime_ms and threshold_violations included, for every
+    objective. Instances and sequences are dropped when their directive is
+    done, and for a k=match generator when its k is done.
     """
     spec.validate()
     rows: list[list[str]] = []
@@ -216,6 +228,9 @@ def run_bench(spec: BenchSpec):
             if params.get("k") == MATCH:
                 instances.clear()
                 plans.clear()
+            # runs that read no objective, by (order, seed, heuristic), kept only
+            # while a later objective of this k will take them
+            shared: dict[tuple[str, int, str], tuple[PartitionSnapshot, StreamStats]] = {}
             for config, order, heuristic, seed in itertools.product(
                     spec.objectives, spec.order_list, spec.heuristic_list, spec.seeds):
                 name = gspec
@@ -231,8 +246,13 @@ def run_bench(spec: BenchSpec):
                     g, name = instances[key]
                     if (order, seed) not in plans:
                         plans[order, seed] = make_stream(g, order, seed)
-                    snap, stats = partition_stream(g, plans[order, seed], k, heuristic,
-                                                   config, seed, tie_policy=spec.tie_policy)
+                    # a config the run would fail to resolve fails alike in evaluate_run
+                    run = shared.pop((order, seed, heuristic), None) or partition_stream(
+                        g, plans[order, seed], k, heuristic, config, seed,
+                        tie_policy=spec.tie_policy)
+                    if heuristic not in READS_OBJECTIVE and config is not spec.objectives[-1]:
+                        shared[order, seed, heuristic] = run
+                    snap, stats = run
                     r = evaluate_run(g, name, snap, config, order, heuristic, seed,
                                      stats.runtime_ms, stats.threshold_violations)
                     results.append(r)
@@ -250,11 +270,11 @@ def run_bench(spec: BenchSpec):
 
 
 def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
-    """Assignment CSV with original vertex labels: header vertex,cluster."""
+    """Assignment CSV with original vertex labels: header vertex,cluster; CRLF rows."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "cluster"])
-        w.writerows(zip(g.id_map.tolist(), assignment.tolist(), strict=True))
+        fh.write("vertex,cluster\r\n")
+        fh.writelines(f"{v},{c}\r\n"
+                      for v, c in zip(g.id_map.tolist(), assignment.tolist(), strict=True))
 
 
 def read_assignment(g: Graph, path, k: int) -> np.ndarray:

@@ -39,6 +39,9 @@ _RULES = {"fennel": ("marginal", np.subtract), "hash": ("none", None),
           "nn": ("size", np.subtract), "ldg": ("linear", np.multiply),
           "edg": ("exp", _exp_weighted), "t": ("none", np.subtract),
           "lt": ("linear", np.multiply), "et": ("exp", _exp_weighted)}
+# Only the edge-surplus rule reads the ObjectiveConfig (its marginal load table, its
+# nu cap, interior-edge delta_g); any other rule's run is the same under every config.
+READS_OBJECTIVE = frozenset({"fennel"})
 
 
 def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) -> np.ndarray:
@@ -85,9 +88,10 @@ class PartitionRun:
         self.rng = np.random.Generator(np.random.PCG64(seed))
         term, self._op = _RULES[heuristic]
         self._signal = "triangles" if heuristic in ("t", "lt", "et") else "neighbors"
-        if heuristic == "fennel" and self.config.size_mode == "interior_edge":
+        reads = heuristic in READS_OBJECTIVE
+        if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
-        self._cap = self.config.nu * g.n / k if heuristic == "fennel" else math.inf
+        self._cap = self.config.nu * g.n / k if reads else math.inf
         self._load = _load_table(term, self.config, g.n, k, self._cap)
         hashed = heuristic == "hash"  # one vector draw equals n scalar draws
         self._draws = self.rng.integers(k, size=g.n) if hashed else None

@@ -1,6 +1,8 @@
+import collections
 import csv
 import gc
 import hashlib
+import itertools
 import math
 import warnings
 import weakref
@@ -13,9 +15,12 @@ import streamcut.bench as bench_mod
 from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              parse_bench_spec, read_assignment, run_bench,
                              write_assignment)
+from streamcut.generators import HpParams, generate_hp
 from streamcut.graph import from_edges, load_edge_list, save_edge_list
-from streamcut.metrics import CSV_COLUMNS
+from streamcut.metrics import CSV_COLUMNS, aggregate_rows, evaluate_run, result_to_row
 from streamcut.objective import ObjectiveConfig
+from streamcut.partitioner import HEURISTICS
+from streamcut.stream import make_stream
 from conftest import graph_from_pairs
 
 SPEC_TEXT = """
@@ -79,7 +84,7 @@ def test_spec_rejects_malformed_lines_and_graphs(tmp_path):
         parse_bench_spec(p)
 
 
-BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = fennel\n{extra}\n"
+BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = {heuristic}\n{extra}\n"
 
 
 @pytest.mark.parametrize("fields, names", [
@@ -101,10 +106,16 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = fennel\n{extr
     ({"graph": "cl:n=50,delta=1"}, "delta must be > 1"),
     ({"graph": "cl:n=50,delta=nan"}, "delta must be > 1"),
     ({"graph": "cl:n=50,delta=2.5,avg_degree=50"}, "avg_degree must be in (0, n)"),
+    ({"k": "2 3 02"}, "repeated k value 2"),
+    ({"extra": "gamma = 1 1.5 1.0"}, "repeated gamma value 1.0"),
+    ({"extra": "order = random bfs random"}, "repeated order value 'random'"),
+    ({"heuristic": "dg ldg dg"}, "repeated heuristic value 'dg'"),
+    ({"seeds": "1 1"}, "repeated seeds value 1"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
         "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
-        "cl_avg_degree"])
+        "cl_avg_degree", "k_repeat", "gamma_repeat", "order_repeat", "heuristic_repeat",
+        "seeds_repeat"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):
@@ -114,7 +125,8 @@ def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
         monkeypatch.setattr(bench_mod, builder, no_build)
     p = tmp_path / "bad.bench"
     p.write_text(BAD_SPEC.format(**{"graph": "hp:n=20,k=2,p=0.5,q=0.1", "k": "2",
-                                    "seeds": "1", "extra": "", **fields}))
+                                    "seeds": "1", "heuristic": "fennel", "extra": "",
+                                    **fields}))
     with pytest.raises(BenchSpecError) as err:
         parse_bench_spec(p)
     assert str(p) in str(err.value) and names in str(err.value)
@@ -273,6 +285,65 @@ def test_bench_frees_k_match_instances_after_their_k(tmp_path, monkeypatch):
     assert len(run_bench(parse_bench_spec(p))) == 8
     assert len(built) == 4
     assert alive == {2: 2, 3: 2}
+
+
+def test_bench_partitions_each_distinct_run_once(tmp_path, monkeypatch):
+    """Rules that read no objective run once per (instance, k, order, seed), and every
+    row equals a partition_stream + evaluate_run of its own; fennel runs per gamma."""
+    calls, real = collections.Counter(), bench_mod.partition_stream
+
+    def counting(g, plan, k, heuristic, config, seed, **kwargs):
+        calls[k, plan.order_kind, seed] += 1
+        return real(g, plan, k, heuristic, config, seed, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "partition_stream", counting)
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = hp:n=40,k=2,p=0.5,q=0.1\nk = 2 3\ngamma = 1 1.5\n"
+                 f"order = random bfs\nheuristic = {' '.join(HEURISTICS)}\nseeds = 1 2\n"
+                 f"nu = 1.2\ntie_policy = min_load\nout = {out}\n")
+    spec = parse_bench_spec(p)
+    run_bench(spec)
+    assert calls == {(k, o, s): 11 for k in (2, 3) for o in ("random", "bfs") for s in (1, 2)}
+
+    ref, results = [], []
+    for k, config, order, heuristic, seed in itertools.product(
+            spec.k_list, spec.objectives, spec.order_list, spec.heuristic_list, spec.seeds):
+        g, _ = generate_hp(HpParams(40, 2, 0.5, 0.1, seed=seed))
+        snap, stats = real(g, make_stream(g, order, seed), k, heuristic, config, seed,
+                           tie_policy="min_load")
+        results.append(evaluate_run(g, "hp(n=40,k=2,p=0.5,q=0.1)", snap, config, order,
+                                    heuristic, seed, stats.runtime_ms,
+                                    stats.threshold_violations))
+        ref.append(result_to_row(results[-1]))
+    ref = [CSV_COLUMNS] + ref + aggregate_rows(results)
+    rt = CSV_COLUMNS.index("runtime_ms")
+    assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
+
+
+# kept: the previous row's snapshot, and with two gammas the first objective's runs of
+# the 9 rules outside READS_OBJECTIVE x 2 orders x 2 seeds
+@pytest.mark.parametrize("gammas, kept", [("1.5", 1), ("1 1.5", 9 * 2 * 2 + 1)])
+def test_bench_keeps_shared_runs_only_for_a_later_gamma(tmp_path, monkeypatch, gammas, kept):
+    """A one-gamma spec keeps no snapshot past its row, and no run outlives its k."""
+    made, alive, real = [], {}, bench_mod.partition_stream
+
+    def tracked(g, plan, k, *args, **kwargs):
+        gc.collect()
+        alive.setdefault(k, []).append(sum(ref() is not None for ref in made))
+        snap, stats = real(g, plan, k, *args, **kwargs)
+        made.append(weakref.ref(snap))
+        return snap, stats
+
+    monkeypatch.setattr(bench_mod, "partition_stream", tracked)
+    p = tmp_path / "spec.txt"
+    p.write_text(f"graph = hp:n=30,k=2,p=0.5,q=0.1\nk = 2 3\ngamma = {gammas}\n"
+                 f"order = random bfs\nheuristic = {' '.join(HEURISTICS)}\nseeds = 1 2\n"
+                 f"out = {tmp_path / 'res.csv'}\n")
+    run_bench(parse_bench_spec(p))
+    # the previous row's snapshot is still bound when the next run starts
+    assert {k: (counts[0], max(counts)) for k, counts in alive.items()} == {
+        2: (0, kept), 3: (1, kept)}
 
 
 # CSV rows of test_bench_csv_names_and_values without runtime_ms; a change

@@ -460,3 +460,42 @@ def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, or
     assert snap.cut_edges == ref.cut_edges
     assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
     assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
+
+
+def test_only_the_objective_rules_read_the_objective():
+    """Outside READS_OBJECTIVE a run is the same under any two ObjectiveConfigs (so
+    run_bench may share it across gammas); fennel is not."""
+    assert partitioner.READS_OBJECTIVE == {"fennel"}
+    fennel_differs = []
+
+    @given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
+           k=st.integers(1, 6), order=st.sampled_from(["random", "bfs"]),
+           tie=st.sampled_from(TIE_POLICIES), gammas=st.tuples(
+               st.sampled_from([1.0, 1.5]), st.sampled_from([2.0, 3.0])),
+           alpha=st.floats(0.01, 10.0), nu=st.sampled_from([1.0, 1.1, 2.0]),
+           interior=st.booleans(), discrete=st.booleans(), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def check(n, p, graph_seed, k, order, tie, gammas, alpha, nu, interior, discrete, seed):
+        g = random_gnp(n, p, seed=graph_seed)
+        plan = make_stream(g, order, seed)
+        sizes, marginals = ("vertex", "interior_edge"), ("derivative", "discrete")
+        configs = (ObjectiveConfig(gamma=gammas[0], size_mode=sizes[interior],
+                                   marginal_mode=marginals[discrete]),
+                   ObjectiveConfig(gamma=gammas[1], alpha=alpha, nu=nu,
+                                   size_mode=sizes[not interior],
+                                   marginal_mode=marginals[not discrete]))
+        for heuristic in HEURISTICS:
+            (a, sa), (b, sb) = (partition_stream(g, plan, k, heuristic, cfg, seed,
+                                                 tie_policy=tie) for cfg in configs)
+            same = (np.array_equal(a.assignment, b.assignment)
+                    and np.array_equal(a.cluster_vertex_counts, b.cluster_vertex_counts)
+                    and np.array_equal(a.cluster_internal_edges, b.cluster_internal_edges)
+                    and (a.cut_edges, sa.threshold_violations, sa.neighbor_scans)
+                    == (b.cut_edges, sb.threshold_violations, sb.neighbor_scans))
+            if heuristic in partitioner.READS_OBJECTIVE:
+                fennel_differs.append(not same)
+            else:
+                assert same, heuristic
+
+    check()
+    assert any(fennel_differs)
