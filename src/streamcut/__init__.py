@@ -7,7 +7,7 @@ from .stream import StreamPlan, make_stream
 from .objective import (ObjectiveConfig, PartitionSnapshot, build_snapshot,
                         delta_g, eval_f, eval_g, eval_g_shifted,
                         eval_modularity_form, marginal_cost, resolve_alpha)
-from .partitioner import HEURISTICS, PartitionRun, partition_stream
+from .partitioner import HEURISTICS, partition_stream
 from .generators import ClParams, HpParams, cl_weights, generate_cl, generate_hp
 from .metrics import RunResult, compute_lambda, compute_rho, evaluate_run
 from .oracle import OracleResult, brute_force_optimal, brute_force_pair_optimal
@@ -22,7 +22,7 @@ __all__ = [
     "ObjectiveConfig", "PartitionSnapshot", "build_snapshot", "delta_g",
     "eval_f", "eval_g", "eval_g_shifted", "eval_modularity_form",
     "marginal_cost", "resolve_alpha",
-    "HEURISTICS", "PartitionRun", "partition_stream",
+    "HEURISTICS", "partition_stream",
     "ClParams", "HpParams", "cl_weights", "generate_cl", "generate_hp",
     "RunResult", "compute_lambda", "compute_rho", "evaluate_run",
     "OracleResult", "brute_force_optimal", "brute_force_pair_optimal",

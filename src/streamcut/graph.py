@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 _PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings held at once
 _INT64_MAX = np.iinfo(np.int64).max
+SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
 
 
 class EdgeListParseError(ValueError):
@@ -71,6 +72,15 @@ def _run_starts(sorted_arr: np.ndarray) -> np.ndarray:
     starts[:1] = True
     np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=starts[1:])
     return starts
+
+
+def spans(weights: np.ndarray):
+    """Consecutive [lo, hi) ranges of weights, each summing to at most SPAN or one item."""
+    ends, lo = np.cumsum(weights), 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weights[lo] + SPAN, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:

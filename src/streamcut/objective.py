@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, spans
 
 SIZE_MODES = ("vertex", "interior_edge")
 MARGINAL_MODES = ("discrete", "derivative")
@@ -93,8 +93,8 @@ class PartitionSnapshot:
     """
     Mutable partition state over a fixed graph: assignment vector
     (UNASSIGNED = -1), per-cluster vertex and interior-edge counters,
-    and the cut-edge counter. Counters are exact integers, updated
-    incrementally by assign().
+    and the cut-edge counter, all over the placed vertices. Counters are
+    exact integers, kept by the assignment engine or rebuilt by recount().
     """
 
     UNASSIGNED = -1
@@ -110,16 +110,6 @@ class PartitionSnapshot:
         self.cut_edges = 0
         self.assigned_count = 0
 
-    def assign(self, v: int, c: int, neighbor_counts: np.ndarray) -> None:
-        """Place v in cluster c; neighbor_counts[i] = |N(v) ∩ S_i| now."""
-        if self.assignment[v] != self.UNASSIGNED:
-            raise SnapshotError(f"vertex {v} already assigned")
-        self.assignment[v] = c
-        self.cluster_vertex_counts[c] += 1
-        self.cluster_internal_edges[c] += int(neighbor_counts[c])
-        self.cut_edges += int(neighbor_counts.sum() - neighbor_counts[c])
-        self.assigned_count += 1
-
     @property
     def fully_assigned(self) -> bool:
         return self.assigned_count == self.graph.n
@@ -128,6 +118,25 @@ class PartitionSnapshot:
         if not self.fully_assigned:
             raise SnapshotError(
                 f"{self.graph.n - self.assigned_count} vertices unassigned")
+
+
+def recount(snap: PartitionSnapshot) -> PartitionSnapshot:
+    """Rebuild snap's counters from its assignment, over the placed vertices: the
+    CSR rows in spans of at most SPAN entries (or one row), each edge met from both ends."""
+    g, a, k = snap.graph, snap.assignment, snap.k
+    placed = a >= 0
+    snap.cluster_vertex_counts = np.bincount(a[placed], minlength=k)
+    snap.assigned_count = int(placed.sum())
+    degrees, internal, cut = g.degrees, np.zeros(k, dtype=np.int64), 0
+    for lo, hi in spans(degrees):
+        mine = a[lo:hi].repeat(degrees[lo:hi])
+        theirs = a[g.indices[g.indptr[lo]:g.indptr[hi]]]
+        both = (mine >= 0) & (theirs >= 0)
+        inside = mine[both & (mine == theirs)]
+        internal += np.bincount(inside, minlength=k)
+        cut += int(both.sum()) - len(inside)
+    snap.cluster_internal_edges, snap.cut_edges = internal // 2, cut // 2
+    return snap
 
 
 def build_snapshot(g: Graph, assignment: np.ndarray, k: int) -> PartitionSnapshot:
@@ -139,15 +148,7 @@ def build_snapshot(g: Graph, assignment: np.ndarray, k: int) -> PartitionSnapsho
         raise SnapshotError("cluster id out of range")
     snap = PartitionSnapshot(g, k)
     snap.assignment = assignment.copy()
-    snap.cluster_vertex_counts = np.bincount(assignment, minlength=k)
-    edges = g.edge_array()
-    if len(edges):
-        cu, cv = assignment[edges[:, 0]], assignment[edges[:, 1]]
-        same = cu == cv
-        snap.cut_edges = int((~same).sum())
-        snap.cluster_internal_edges = np.bincount(cu[same], minlength=k)
-    snap.assigned_count = g.n
-    return snap
+    return recount(snap)
 
 
 def _size_counters(snap: PartitionSnapshot, config: ObjectiveConfig) -> np.ndarray:

@@ -7,23 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
-from .objective import ObjectiveConfig, PartitionSnapshot, SnapshotError, delta_g, marginal_cost
+from .graph import Graph, spans
+from .objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError, delta_g,
+                        marginal_cost, recount)
 from .stream import StreamPlan
 
 HEURISTICS = ("fennel", "hash", "balanced", "dg", "ldg", "edg", "t", "lt", "et", "nn")
 TIE_POLICIES = ("lowest_index", "min_load")
-_GATHER = 1 << 14  # adjacency entries one block of arrivals or one gather may hold
-_FREE = np.iinfo(np.int64).max  # mark of a vertex outside the current call
-
-
-def _spans(weights: np.ndarray):
-    """Consecutive [lo, hi) ranges of weights, each summing to at most _GATHER or one item."""
-    ends, lo = np.cumsum(weights), 0
-    while lo < len(ends):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weights[lo] + _GATHER, "right")))
-        yield lo, hi
-        lo = hi
+_FREE = np.iinfo(np.int64).max  # mark of a vertex placed or outside the stream
 
 
 def _exp_weighted(signal: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -93,11 +84,9 @@ class PartitionRun:
             term, self._signal = "none", "surplus"  # the charge depends on the counts
         self._cap = self.config.nu * g.n / k if reads else math.inf
         self._load = _load_table(term, self.config, g.n, k, self._cap)
-        hashed = heuristic == "hash"  # one vector draw equals n scalar draws
-        self._draws = self.rng.integers(k, size=g.n) if hashed else None
         self._indptr = g.indptr.tolist()
         self._degrees = g.degrees
-        # k + position of each vertex in the current call, else _FREE; _block_triangles
+        # k + position of each vertex in the stream, else _FREE; _block_triangles
         # marks a block's placed neighbours with their clusters while it runs
         self._mark = np.full(g.n, _FREE, dtype=np.int64)
 
@@ -111,7 +100,7 @@ class PartitionRun:
 
     def _earlier(self, block: np.ndarray, b0: int):
         """(j, u, cluster of u) for each neighbour u of block[j] placed or arriving
-        before it; block[j] is at position b0 + j of the current call."""
+        before it; block[j] is at position b0 + j of the stream."""
         owner, u = self._adjacency(block)
         cu = self.snapshot.assignment[u]
         keep = (cu >= 0) | (self._mark[u] < self.k + b0 + owner)
@@ -134,7 +123,7 @@ class PartitionRun:
         for sel, closes in ((placed, np.equal), (~placed, np.less)):
             j, x = owner[sel], u[sel]
             cell = j * k + mark[x]  # tri's index for x before the block
-            for lo, hi in _spans(self._degrees[x]):
+            for lo, hi in spans(self._degrees[x]):
                 e, w = self._adjacency(x[lo:hi], lo)
                 hit = closes(mark[w], mark[x[lo:hi]].repeat(self._degrees[x[lo:hi]]))
                 hit = hit.nonzero()[0]
@@ -157,51 +146,23 @@ class PartitionRun:
             signal = delta_g(self.snapshot, self.config, signal)
         return self._op(signal, self._load[self.snapshot.cluster_vertex_counts])
 
-    def assign_vertex(self, v: int) -> int:
-        self._assign((v,))
-        return int(self.snapshot.assignment[v])
-
-    def _assign(self, vertices) -> None:
-        """Assign vertices in order; the first that is out of range or already
-        assigned raises SnapshotError once those before it are committed."""
-        ids = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        ok = (ids >= 0) & (ids < self.graph.n)
-        safe = np.where(ok, ids, 0)
-        first = np.zeros_like(ok)
-        first[np.unique(safe, return_index=True)[1]] = True  # a repeat is assigned by then
-        ok &= first & (self.snapshot.assignment[safe] < 0)
-        end = len(ids) if ok.all() else int(ok.argmin())
-        run = ids[:end]
-        self._mark[run] = np.arange(self.k, self.k + end)
-        if self._draws is not None:
-            self._hash(run)
-        elif self._signal == "triangles":  # blocks whose arrivals gather <= _GATHER entries
+    def _assign(self, run: np.ndarray) -> None:
+        """Assign a checked stream, distinct ids in [0, n), in order."""
+        if self.heuristic == "hash":  # the seeded draws in arrival order
+            self.snapshot.assignment[run] = self.rng.integers(self.k, size=len(run))
+            recount(self.snapshot)
+            self.stats.neighbor_scans = int(self._degrees[run].sum())
+        elif self._signal == "triangles":  # blocks whose arrivals gather <= SPAN entries
+            self._mark[run] = np.arange(self.k, self.k + len(run))
             volume = self._degrees[run] + float(self.k)  # and a row of the (B, k) counts
-            for lo, hi in _spans(self._degrees[run]):
+            for lo, hi in spans(self._degrees[run]):
                 owner, u, _ = self._earlier(run[lo:hi], lo)
                 volume[lo:hi] += np.bincount(owner, self._degrees[u], hi - lo)
-            for lo, hi in _spans(volume):
+            for lo, hi in spans(volume):
                 self._steps(run[lo:hi].tolist(), *self._block_triangles(run[lo:hi], lo))
                 self._mark[run[lo:hi]] = _FREE  # placed
         else:
             self._steps(run.tolist())
-        self._mark[run] = _FREE
-        if end < len(ids):
-            raise SnapshotError(f"vertex {ids[end]} is out of range or already assigned")
-
-    def _hash(self, run: np.ndarray) -> None:
-        """hash in one pass: the next seeded draws, counters as build_snapshot computes them."""
-        snap = self.snapshot
-        for lo, hi in _spans(self._degrees[run]):
-            owner, u, _ = self._earlier(run[lo:hi], lo)
-            c, self._draws = self._draws[:hi - lo], self._draws[hi - lo:]
-            snap.assignment[run[lo:hi]] = c
-            same = snap.assignment[u] == c[owner]
-            snap.cluster_vertex_counts += np.bincount(c, minlength=self.k)
-            snap.cluster_internal_edges += np.bincount(c[owner[same]], minlength=self.k)
-            snap.cut_edges += len(u) - int(same.sum())
-            snap.assigned_count += hi - lo
-            self.stats.neighbor_scans += int(self._degrees[run[lo:hi]].sum())
 
     def _steps(self, vertices: list, tri=None, pairs=None) -> None:
         """The per-vertex step: gather the neighbours' clusters, count, score, pick, commit."""
@@ -253,12 +214,26 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
     """
     Assign every vertex of the stream in one pass.
 
-    Returns (snapshot, stats). Deterministic for identical
+    The plan must be a 1-D integer sequence of distinct ids in [0, n);
+    otherwise SnapshotError names the problem before any vertex is
+    assigned. Returns (snapshot, stats). Deterministic for identical
     (graph, plan, k, heuristic, config, seed, tie_policy); runtime covers
     the assignment loop only.
     """
     run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
+    ids = np.asarray(plan.sequence)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":  # bool is kind "b"
+        raise SnapshotError(f"a stream is a 1-D sequence of integer vertex ids, "
+                            f"not {ids.dtype} of shape {ids.shape}")
+    ok = (ids >= 0) & (ids < g.n)
+    seq = ids.astype(np.int64, copy=False)
+    if not (ok.all() and np.bincount(seq, minlength=g.n).max(initial=0) <= 1):
+        first = np.zeros_like(ok)
+        first[np.unique(ids, return_index=True)[1]] = True  # each id's first arrival
+        bad = ids[(ok & first).argmin()]
+        raise SnapshotError(f"vertex {bad} is "
+                            + ("repeated" if 0 <= bad < g.n else f"outside [0, {g.n})"))
     t0 = time.perf_counter()
-    run._assign(plan.sequence)
+    run._assign(seq)
     run.stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return run.snapshot, run.stats

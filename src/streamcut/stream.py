@@ -15,7 +15,7 @@ ORDER_KINDS = ("random", "bfs", "dfs")
 class StreamPlan:
     order_kind: str
     seed: int
-    sequence: np.ndarray  # permutation of [0, n)
+    sequence: np.ndarray  # distinct ids in [0, n); a prefix of an order is a legal stream
 
 
 class _Restarts:

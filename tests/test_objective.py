@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamcut import graph
 from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
                                  build_snapshot, cost, delta_g, eval_f, eval_g,
                                  eval_g_shifted, eval_modularity_form,
-                                 marginal_cost, resolve_alpha)
+                                 marginal_cost, recount, resolve_alpha)
 from conftest import random_gnp
 
 GAMMAS = [1.0, 1.5, 2.0, 3.0]
@@ -80,31 +81,32 @@ def test_cost_is_supermodular(gamma):
     assert np.all(np.diff(diffs) >= -1e-12)
 
 
-@given(n=st.integers(4, 25), seed=st.integers(0, 10 ** 6), k=st.integers(1, 5))
-@settings(max_examples=50, deadline=None)
-def test_incremental_counters_match_batch_rebuild(n, seed, k):
-    g = random_gnp(n, 0.35, seed=seed % 997)
+@pytest.mark.parametrize("span", [1, 8, None])
+@given(n=st.integers(2, 25), p=st.floats(0.0, 0.6), seed=st.integers(0, 10 ** 6),
+       k=st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_recount_matches_per_edge_count(span, n, p, seed, k):
+    """recount over a partial assignment equals a per-edge count, whatever the span bound."""
+    g = random_gnp(n, p, seed=seed % 997)
     rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, k, size=n)
     snap = PartitionSnapshot(g, k)
-    for v in rng.permutation(n):
-        counts = np.zeros(k, dtype=np.int64)
-        nb = g.neighbors(int(v))
-        placed = snap.assignment[nb]
-        for c in placed[placed >= 0]:
-            counts[c] += 1
-        snap.assign(int(v), int(assignment[v]), counts)
-    ref = build_snapshot(g, assignment, k)
-    assert snap.cut_edges == ref.cut_edges
-    assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
-    assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
-
-
-def test_assign_rejects_double_assignment(triangle):
-    snap = PartitionSnapshot(triangle, 2)
-    snap.assign(0, 1, np.zeros(2, dtype=np.int64))
-    with pytest.raises(SnapshotError):
-        snap.assign(0, 0, np.zeros(2, dtype=np.int64))
+    snap.assignment = np.where(rng.random(n) < 0.7, rng.integers(0, k, size=n), -1)
+    with pytest.MonkeyPatch.context() as mp:
+        if span is not None:
+            mp.setattr(graph, "SPAN", span)
+        recount(snap)
+    a = snap.assignment.tolist()
+    internal, cut = [0] * k, 0
+    for u, v in g.edge_array().tolist():
+        if a[u] >= 0 and a[v] >= 0:
+            if a[u] == a[v]:
+                internal[a[u]] += 1
+            else:
+                cut += 1
+    assert snap.assigned_count == sum(c >= 0 for c in a)
+    assert snap.cluster_vertex_counts.tolist() == [a.count(c) for c in range(k)]
+    assert snap.cluster_internal_edges.tolist() == internal
+    assert snap.cut_edges == cut
 
 
 def test_eval_requires_full_assignment(triangle):
@@ -175,9 +177,8 @@ def test_delta_g_ranks_clusters_like_exact_f_change(marginal_mode, seed):
     snap = PartitionSnapshot(g, k)
     order = rng.permutation(g.n)
     for v in order[: g.n // 2]:
-        counts = np.array([(snap.assignment[g.neighbors(int(v))] == c).sum()
-                           for c in range(k)])
-        snap.assign(int(v), int(rng.integers(0, k)), counts)
+        snap.assignment[v] = rng.integers(0, k)
+    recount(snap)
     v = int(order[g.n // 2])
     cfg = ObjectiveConfig(gamma=1.5, marginal_mode=marginal_mode).resolve(g, k)
     counts = np.array([(snap.assignment[g.neighbors(v)] == c).sum()

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
+from streamcut import graph
 from streamcut.graph import from_edges
-from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
-                                 build_snapshot)
+from streamcut.objective import ObjectiveConfig, SnapshotError, build_snapshot, recount
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
                                    partition_stream)
 from streamcut import partitioner
@@ -148,10 +148,10 @@ def triangle_counts(run, v):
     return run._block_triangles(np.array([v]), 0)[0][0]
 
 
-def neighbor_counts(run, v):
-    """|N(v) ∩ S_i| under the run's current assignment."""
-    placed = run.snapshot.assignment[run.graph.neighbors(v)]
-    return np.bincount(placed[placed >= 0], minlength=run.k)
+def place(run, vertices, clusters):
+    """Put vertices in clusters and rebuild the run's counters."""
+    run.snapshot.assignment[vertices] = clusters
+    recount(run.snapshot)
 
 
 def test_triangle_counts_match_brute_force():
@@ -161,9 +161,7 @@ def test_triangle_counts_match_brute_force():
         k = 3
         run = PartitionRun(g, k, "t", CFG.resolve(g, k), seed=0)
         order = rng.permutation(g.n)
-        for v in order[: g.n // 2]:
-            run.snapshot.assign(int(v), int(rng.integers(0, k)),
-                                neighbor_counts(run, int(v)))
+        place(run, order[: g.n // 2], [int(rng.integers(0, k)) for _ in order[: g.n // 2]])
         for v in order[g.n // 2:]:
             got = triangle_counts(run, int(v))
             want = brute_triangles(g, run.snapshot.assignment, int(v), k)
@@ -178,7 +176,7 @@ def test_triangle_counts_split_large_gathers(monkeypatch, bound):
     g = random_gnp(50, 0.5, seed=3)
     plan = make_stream(g, "random", seed=1)
     want = partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment
-    monkeypatch.setattr(partitioner, "_GATHER", bound)
+    monkeypatch.setattr(graph, "SPAN", bound)
     blocks = []
     block_triangles = PartitionRun._block_triangles
     monkeypatch.setattr(PartitionRun, "_block_triangles",
@@ -190,7 +188,7 @@ def test_triangle_counts_split_large_gathers(monkeypatch, bound):
     rng = np.random.default_rng(bound)
     for v in range(g.n):
         if rng.random() < 0.6:
-            run.snapshot.assign(v, int(rng.integers(0, 3)), neighbor_counts(run, v))
+            place(run, [v], int(rng.integers(0, 3)))
         else:
             assert np.array_equal(triangle_counts(run, v),
                                   brute_triangles(g, run.snapshot.assignment, v, 3))
@@ -203,19 +201,9 @@ def test_triangle_heuristics_prefer_the_triangle_rich_cluster(heuristic):
     g = graph_from_pairs([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
                           (6, 0), (6, 3), (6, 4), (6, 5)])
     run = PartitionRun(g, 2, heuristic, CFG.resolve(g, 2), seed=0)
-    for v, c in [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)]:
-        run.snapshot.assign(v, c, neighbor_counts(run, v))
-    assert run.assign_vertex(6) == 1
-
-
-def test_assign_vertex_rejects_repeats_and_negative_ids():
-    g = random_gnp(10, 0.3, seed=4)
-    run = PartitionRun(g, 2, "fennel", CFG, seed=0)
-    run.assign_vertex(3)
-    for v in (3, -1, g.n, g.n + 4):
-        with pytest.raises(SnapshotError, match=f"vertex {v} "):
-            run.assign_vertex(v)
-    assert run.snapshot.assigned_count == 1
+    place(run, np.arange(6), [0, 0, 0, 1, 1, 1])
+    run._assign(np.array([6]))
+    assert run.snapshot.assignment[6] == 1
 
 
 def run_digest(snap, stats):
@@ -245,21 +233,20 @@ def test_prefix_stream_leaves_a_partial_snapshot():
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_bad_ids_in_a_stream_raise_after_the_vertices_before_them(heuristic):
-    """A negative, out-of-range or repeated id raises SnapshotError naming it;
-    the vertices before it stay assigned exactly as a stream that stops there."""
+def test_bad_plans_raise_before_any_vertex_is_assigned(heuristic, monkeypatch):
+    """A negative, out-of-range or repeated id raises SnapshotError naming it, and so
+    does a plan that is not a 1-D integer sequence; the engine never starts."""
     g = random_gnp(60, 0.2, seed=8)
     seq = make_stream(g, "random", seed=8).sequence
-    want = run_digest(*partition_stream(g, StreamPlan("random", 8, seq[:37]), 4, heuristic,
-                                        CFG, seed=8))
+    monkeypatch.setattr(PartitionRun, "_assign", lambda *a: pytest.fail("assigned"))
     for bad in (-1, g.n, g.n + 7, int(seq[5]), int(seq[36])):
         stream = np.concatenate([seq[:37], [bad], seq[37:]])
         with pytest.raises(SnapshotError, match=f"vertex {bad} "):
             partition_stream(g, StreamPlan("random", 8, stream), 4, heuristic, CFG, seed=8)
-        run = PartitionRun(g, 4, heuristic, CFG, seed=8)
-        with pytest.raises(SnapshotError, match=f"vertex {bad} "):
-            run._assign(stream)
-        assert run_digest(run.snapshot, run.stats) == want
+    for plan, problem in (([0.9, 1.7, 2.2, 3.0, 4.5, 5.99], "float64"),
+                          ([True, False], "bool"), (np.arange(6).reshape(2, 3), r"\(2, 3\)")):
+        with pytest.raises(SnapshotError, match=f"1-D sequence of integer.*{problem}"):
+            partition_stream(g, StreamPlan("random", 8, plan), 4, heuristic, CFG, seed=8)
 
 
 def test_threshold_restricts_loads():
@@ -379,7 +366,7 @@ GOLDEN_TRACES = {
 
 
 # The graphs above fit in one triangle block. These two span many: their
-# triangle gathers sum to far more than _GATHER adjacency entries, so the
+# triangle gathers sum to far more than graph.SPAN adjacency entries, so the
 # traces cover triangles closed before a block starts and inside it.
 BLOCK_TRACES = {
     ("cl2000", "t"):
