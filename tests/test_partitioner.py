@@ -206,6 +206,16 @@ def test_triangle_heuristics_prefer_the_triangle_rich_cluster(heuristic):
     assert run.snapshot.assignment[6] == 1
 
 
+def test_assign_vertex_rejects_repeats_and_negative_ids(monkeypatch):
+    """A stream that places vertex 3 and then a repeat, a negative or an
+    out-of-range id raises SnapshotError naming that id before any placement."""
+    g = random_gnp(10, 0.3, seed=4)
+    monkeypatch.setattr(PartitionRun, "_assign", lambda *a: pytest.fail("assigned"))
+    for v in (3, -1, g.n, g.n + 4):
+        with pytest.raises(SnapshotError, match=f"vertex {v} "):
+            partition_stream(g, StreamPlan("random", 0, [3, v]), 2, "fennel", CFG, seed=0)
+
+
 def run_digest(snap, stats):
     h = hashlib.sha256()
     for arr in (snap.assignment, snap.cluster_vertex_counts, snap.cluster_internal_edges,
