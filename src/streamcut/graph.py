@@ -10,6 +10,8 @@ from scipy.sparse.csgraph import connected_components
 _PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings held at once
 _INT64_MAX = np.iinfo(np.int64).max
 SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
+BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
+MIN_BLOCK = 64  # arrivals a window needs for that (32 entries each); fewer count one by one
 
 
 class EdgeListParseError(ValueError):

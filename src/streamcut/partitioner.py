@@ -4,9 +4,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import graph
 from .graph import Graph, spans
 from .objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError, delta_g,
                         marginal_cost, recount)
@@ -14,7 +16,7 @@ from .stream import StreamPlan
 
 HEURISTICS = ("fennel", "hash", "balanced", "dg", "ldg", "edg", "t", "lt", "et", "nn")
 TIE_POLICIES = ("lowest_index", "min_load")
-_FREE = np.iinfo(np.int64).max  # mark of a vertex placed or outside the stream
+_FREE = np.iinfo(np.int64).max  # mark of a vertex outside the stream (or placed, for t/lt/et)
 
 
 def _exp_weighted(signal: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -83,12 +85,17 @@ class PartitionRun:
         if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
         self._cap = self.config.nu * g.n / k if reads else math.inf
-        self._load = _load_table(term, self.config, g.n, k, self._cap)
-        self._indptr = g.indptr.tolist()
         self._degrees = g.degrees
-        # k + position of each vertex in the stream, else _FREE; _block_triangles
-        # marks a block's placed neighbours with their clusters while it runs
-        self._mark = np.full(g.n, _FREE, dtype=np.int64)
+        if heuristic != "hash":  # hash only draws
+            self._load = _load_table(term, self.config, g.n, k, self._cap)
+            # k + stream position of each arrival (a placed one is told by its cluster), else
+            # _FREE; _block_triangles marks a block's placed neighbours with their clusters
+            self._mark = np.full(g.n, _FREE, dtype=np.int64)
+
+    @cached_property
+    def _indptr(self) -> list:
+        """Row offsets as Python ints, for the per-arrival gather."""
+        return self.graph.indptr.tolist()
 
     def _adjacency(self, vertices: np.ndarray, first: int = 0):
         """(first + position in vertices, neighbour) of every adjacency entry of vertices."""
@@ -138,53 +145,79 @@ class PartitionRun:
                     pairs.append((j[e], x[e], w))
         mark[u[placed]] = _FREE
         pj, pu, pw = (np.concatenate(p) for p in zip(*pairs)) if pairs else ((),) * 3
-        return tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw)
+        return (tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw),
+                self._counts(owner, u, cu, b0, b))
 
-    def _scores(self, signal: np.ndarray) -> np.ndarray:
-        """op(signal, load[|S_i|]); interior-edge fennel's signal is delta_g of the counts."""
-        if self._signal == "surplus":
-            signal = delta_g(self.snapshot, self.config, signal)
-        return self._op(signal, self._load[self.snapshot.cluster_vertex_counts])
+    def _counts(self, owner, u, cu, b0: int, b: int):
+        """Neighbour counts of a block of b arrivals from its _earlier gather: base[j, i] counts
+        block[j]'s neighbours in S_i at the block start, placed[j] those placed when it arrives;
+        once block[q] goes to S_c, each row in later[starts[q]:starts[q + 1]] gains one at c."""
+        k = self.k
+        before = cu >= 0
+        base = np.bincount(owner[before] * k + cu[before], minlength=b * k).reshape(b, k)
+        q = self._mark[u[~before]] - (k + b0)  # the earlier neighbour's place in the block
+        order = q.argsort()
+        return (base, np.bincount(owner, minlength=b).tolist(), owner[~before][order].tolist(),
+                np.searchsorted(q[order], np.arange(b + 1)).tolist())
 
     def _assign(self, run: np.ndarray) -> None:
         """Assign a checked stream, distinct ids in [0, n), in order."""
+        k = self.k
+        self.stats.neighbor_scans = int(self._degrees[run].sum())
         if self.heuristic == "hash":  # the seeded draws in arrival order
-            self.snapshot.assignment[run] = self.rng.integers(self.k, size=len(run))
+            self.snapshot.assignment[run] = self.rng.integers(k, size=len(run))
             recount(self.snapshot)
-            self.stats.neighbor_scans = int(self._degrees[run].sum())
-        elif self._signal == "triangles":  # blocks whose arrivals gather <= SPAN entries
-            self._mark[run] = np.arange(self.k, self.k + len(run))
-            volume = self._degrees[run] + float(self.k)  # and a row of the (B, k) counts
+            return
+        self._mark[run] = np.arange(k, k + len(run))
+        if self._signal == "triangles":  # blocks whose arrivals gather <= SPAN entries
+            volume = self._degrees[run] + float(k)  # and a row of the (B, k) counts
             for lo, hi in spans(self._degrees[run]):
                 owner, u, _ = self._earlier(run[lo:hi], lo)
                 volume[lo:hi] += np.bincount(owner, self._degrees[u], hi - lo)
             for lo, hi in spans(volume):
-                self._steps(run[lo:hi].tolist(), *self._block_triangles(run[lo:hi], lo))
+                tri, pairs, counts = self._block_triangles(run[lo:hi], lo)
+                self._steps(run[lo:hi].tolist(), counts, tri, pairs)
                 self._mark[run[lo:hi]] = _FREE  # placed
-        else:
-            self._steps(run.tolist())
+            return
+        # a block: the arrivals whose running total of degree + 1 ends in one graph.BLOCK
+        # window; under graph.MIN_BLOCK arrivals (a dense graph's) they count one by one
+        size = np.bincount(np.cumsum(self._degrees[run] + 1) // graph.BLOCK)
+        long = size >= graph.MIN_BLOCK
+        hi = np.cumsum(size)[long]
+        at = 0
+        for b0, b1 in zip((hi - size[long]).tolist(), hi.tolist()):
+            if at < b0:
+                self._steps(run[at:b0].tolist())
+            block = run[b0:b1]
+            self._steps(block.tolist(), self._counts(*self._earlier(block, b0), b0, b1 - b0))
+            at = b1
+        self._steps(run[at:].tolist())
 
-    def _steps(self, vertices: list, tri=None, pairs=None) -> None:
-        """The per-vertex step: gather the neighbours' clusters, count, score, pick, commit."""
+    def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
+        """The per-vertex step: count the neighbours' clusters (a row of the block's
+        _counts, or one gather), score, pick, commit."""
         snap = self.snapshot
-        stats = self.stats
-        k = self.k
-        cap = self._cap
-        assignment = snap.assignment
-        sizes = snap.cluster_vertex_counts
+        k, cap, op, load, config = self.k, self._cap, self._op, self._load, self.config
+        assignment, sizes = snap.assignment, snap.cluster_vertex_counts
         internal = snap.cluster_internal_edges
-        indptr = self._indptr
-        indices = self.graph.indices
+        surplus = self._signal == "surplus"
+        if block is None:
+            indptr, indices = self._indptr, self.graph.indices
+        else:
+            base, nplaced, later, lstarts = block
         min_load = self.tie_policy == "min_load"
         starts, pu, pw = pairs or (None,) * 3
+        cut = spills = 0
         for j, v in enumerate(vertices):
-            nbr = indices[indptr[v]:indptr[v + 1]]
-            slots = assignment[nbr]
-            slots += 1  # slot 0 counts the unplaced neighbours
-            counts = np.bincount(slots, minlength=k + 1)
-            placed = len(nbr) - int(counts[0])
-            counts = counts[1:]
-            stats.neighbor_scans += len(nbr)
+            if block is None:
+                nbr = indices[indptr[v]:indptr[v + 1]]
+                slots = assignment[nbr]
+                slots += 1  # slot 0 counts the unplaced neighbours
+                counts = np.bincount(slots, minlength=k + 1)
+                placed = len(nbr) - int(counts[0])
+                counts = counts[1:]
+            else:
+                counts, placed = base[j], nplaced[j]
             signal = counts
             if tri is not None:
                 signal = tri[j]
@@ -192,11 +225,13 @@ class PartitionRun:
                     cu = assignment[pu[starts[j]:starts[j + 1]]]
                     hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
                     signal = signal + np.bincount(cu[hit], minlength=k)
-            scores = self._scores(signal)
+            if surplus:  # interior-edge fennel: the charge depends on the counts
+                signal = delta_g(snap, config, signal)
+            scores = op(signal, load[sizes])
             c = int(scores.argmax())  # lowest index among ties
             if scores[c] == -math.inf and (sizes > cap).all():
                 c = int(sizes.argmin())  # every cluster over the nu cap: spill
-                stats.threshold_violations += 1
+                spills += 1
             elif min_load and scores[::-1].argmax() != k - 1 - c:  # tie
                 best = (scores == scores[c]).nonzero()[0]
                 c = int(best[sizes[best].argmin()])
@@ -204,8 +239,13 @@ class PartitionRun:
             assignment[v] = c
             sizes[c] += 1
             internal[c] += inside
-            snap.cut_edges += placed - inside
-            snap.assigned_count += 1
+            cut += placed - inside
+            if block is not None:
+                for t in later[lstarts[j]:lstarts[j + 1]]:  # few: cheaper one by one
+                    base[t, c] += 1
+        snap.cut_edges += cut
+        snap.assigned_count += len(vertices)
+        self.stats.threshold_violations += spills
 
 
 def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,

@@ -125,12 +125,15 @@ def test_ldg_trace_on_path():
 def test_edg_scores_exact_zero_without_assigned_neighbors():
     g = random_gnp(10, 0.3, seed=2)
     run = PartitionRun(g, 3, "edg", CFG.resolve(g, 3), seed=0)
-    scores = run._scores(np.zeros(3, dtype=np.int64))
-    assert np.all(scores == 0.0)
+
+    def scores(signal):  # the step's score: op(signal, load[|S_i|])
+        return run._op(signal, run._load[run.snapshot.cluster_vertex_counts])
+
+    assert np.all(scores(np.zeros(3, dtype=np.int64)) == 0.0)
     # oversized cluster with real neighbors scores negative, not nan
     run.snapshot.cluster_vertex_counts[0] = 9
-    scores = run._scores(np.array([2, 0, 0]))
-    assert np.isfinite(scores).all() and scores[0] < 0.0
+    got = scores(np.array([2, 0, 0]))
+    assert np.isfinite(got).all() and got[0] < 0.0
 
 
 def brute_triangles(g, assignment, v, k):
@@ -377,7 +380,10 @@ GOLDEN_TRACES = {
 
 # The graphs above fit in one triangle block. These two span many: their
 # triangle gathers sum to far more than graph.SPAN adjacency entries, so the
-# traces cover triangles closed before a block starts and inside it.
+# traces cover triangles closed before a block starts and inside it. The
+# neighbour-count rules (recorded with every arrival counted by its own gather)
+# run cl2000 in blocks, with a few arrivals one by one under BFS, and hp600,
+# whose rows are too long for a block, one arrival at a time.
 BLOCK_TRACES = {
     ("cl2000", "t"):
         "4a5387ec75cdfbcedfc90204ff27866739d827156b3f656904f64af05a0f3154",
@@ -395,6 +401,34 @@ BLOCK_TRACES = {
         "9fc32ae1d3e0dbddf610f8796b8ee9dc21062c1f8cf328ffb80fd2ed18000d92",
     ("hp600", "hash"):
         "0e99573915a63624702d32fa87a51dc9f70bb1074440f8e9b64e15966925cbee",
+    ('cl2000', 'fennel'):
+        "4e88871b009022219048285b0ad6b1f1c318e785a722bc3d3dbfea05158660c9",
+    ('cl2000', 'fennel/interior_edge'):
+        "5b1b3d4329140cc79c2c4503f419675668888539f5f25c7b16e837e25c3e246b",
+    ('cl2000', 'ldg'):
+        "4771bb692ea1ade117d96323e1d810165a2a3ad31ea9da9ec29b7c178e1c7dce",
+    ('cl2000', 'edg'):
+        "d2720ece308fd685329ea02a0edd7562d809aeb514ee95e1e853684d8e8c504c",
+    ('cl2000', 'dg'):
+        "f42697a332313267b872a9145be78fae1b9b58321af152452af0e5838928295f",
+    ('cl2000', 'nn'):
+        "96ed2eeda535796f864d14f6fb880a0e374bc376685bb1b28d529392a01e65e5",
+    ('cl2000', 'balanced'):
+        "e07304d31d92d64ff8178c19daa6906ea40317f8b8ec49273bef5a4f21d7fcde",
+    ('hp600', 'fennel'):
+        "f63b98f934a5efbba8f01cee01a0489e2458b105b454d37a8ece319a495d28c5",
+    ('hp600', 'fennel/interior_edge'):
+        "5351883136e895ba005eff14cb7b786d9ea82df74eb2a3c566146a20622ed4c6",
+    ('hp600', 'ldg'):
+        "26fea80ff533ec47365e2b4aaa4c7ab4e614cfdfdf8f892f1284df5f44820bc9",
+    ('hp600', 'edg'):
+        "b51c9aa6516f3f0eee174486314d2c359757b62900a5f6be0be317512beaf5ad",
+    ('hp600', 'dg'):
+        "dec351f3e3fbc5a33d81abd69e3de525a7da55605f00fb1d1a9eaacb80cc437f",
+    ('hp600', 'nn'):
+        "bcd4d8b15364692e5b6d0c668cf98063a2a9ba384ba7e9c100e95a182f679297",
+    ('hp600', 'balanced'):
+        "0c07d96c82c0bbf56800b5a34e4963c4f8d816fc09c365786d4468da4f08d412",
 }
 
 
@@ -437,6 +471,60 @@ def test_golden_traces(graph, label):
 @pytest.mark.parametrize("graph, label", list(BLOCK_TRACES))
 def test_golden_traces_across_triangle_blocks(graph, label):
     assert trace_digest(graph, label) == BLOCK_TRACES[graph, label]
+
+
+@pytest.mark.parametrize("bound, minimum", [(1, 1), (512, 2), (graph.BLOCK, graph.MIN_BLOCK)])
+def test_neighbour_blocks_leave_every_trace_unchanged(monkeypatch, bound, minimum):
+    """Blocks of one arrival, blocks of a few, and the default split (blocks on
+    cl2000, single arrivals on hp600) all give the BLOCK_TRACES."""
+    default = (bound, minimum) == (graph.BLOCK, graph.MIN_BLOCK)
+    monkeypatch.setattr(graph, "BLOCK", bound)
+    monkeypatch.setattr(graph, "MIN_BLOCK", minimum)
+    blocks = []
+    counts = PartitionRun._counts
+    monkeypatch.setattr(PartitionRun, "_counts", lambda run, owner, u, cu, b0, b:
+                        blocks.append(b) or counts(run, owner, u, cu, b0, b))
+    for graph_name in ("cl2000", "hp600"):
+        for label in ("fennel", "fennel/interior_edge", "ldg", "edg", "dg", "nn", "balanced"):
+            assert trace_digest(graph_name, label) == BLOCK_TRACES[graph_name, label], label
+        if default:
+            assert bool(blocks) == (graph_name == "cl2000") and min(blocks, default=64) >= 64
+        else:
+            assert 1 <= min(blocks) and (max(blocks) > 1) == (bound > 1)
+            assert max(blocks) <= bound
+        blocks.clear()
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
+    """On a path in BFS order each arrival's earlier neighbour arrives in its own
+    block: the counters still equal a rebuild, and the run equals one whose
+    blocks hold a single arrival."""
+    g = graph_from_pairs([(i, i + 1) for i in range(49)])
+    plan = make_stream(g, "bfs", seed=4)
+    pos = np.argsort(plan.sequence)
+    assert all(pos[g.neighbors(v)].min() < pos[v] for v in plan.sequence[1:])
+    runs = []
+    for bound, minimum, span in ((1 << 12, 1, graph.SPAN), (1, 1, 1)):
+        monkeypatch.setattr(graph, "BLOCK", bound)
+        monkeypatch.setattr(graph, "MIN_BLOCK", minimum)
+        monkeypatch.setattr(graph, "SPAN", span)
+        snap, stats = partition_stream(g, plan, 3, heuristic, ObjectiveConfig(nu=1.1), seed=2,
+                                       tie_policy="min_load")
+        ref = build_snapshot(g, snap.assignment, 3)
+        assert (snap.cut_edges, snap.assigned_count) == (ref.cut_edges, g.n)
+        assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
+        assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
+        runs.append(run_digest(snap, stats))
+    assert runs[0] == runs[1]
+
+
+def test_hash_builds_no_per_vertex_tables():
+    g = random_gnp(60, 0.2, seed=8)
+    run = PartitionRun(g, 4, "hash", CFG.resolve(g, 4), seed=1)
+    run._assign(np.arange(g.n))
+    assert not {"_mark", "_load", "_indptr"} & set(vars(run))
+    assert run.snapshot.assigned_count == g.n
 
 
 @given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
