@@ -1,13 +1,21 @@
 """Immutable simple undirected graph with CSR adjacency and edge-list IO."""
 from __future__ import annotations
 
+import os
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-_PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings held at once
+_PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings the fallback reader holds at once
+# a '#' read backwards to a character other than str.split()'s ASCII whitespace,
+# '#' and line ends: "1 2 # x" is a bad row to the line scan, a comment to numpy
+_HASH_AFTER_DATA = re.compile(rb"#[ \t\x0b\x0c\x1c-\x1f#]*[^ \t\x0b\x0c\x1c-\x1f#\r\n]")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names numpy's loadtxt would decompress
+_LINE = re.compile(rb"[^\r\n]*")
 _INT64_MAX = np.iinfo(np.int64).max
 SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
 BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
@@ -94,6 +102,11 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     labels become id_map unless one is supplied (then labels are taken
     as already-dense indices into it).
 
+    Labels in [0, 2E) are densified through a table of the labels seen:
+    its nonzero positions are id_map, and a label's dense id is its
+    position there. Wider labels (64-bit ids, say) are argsorted, which
+    gives the same arrays.
+
     One sort of the 1-D key u*n + v over both directions of every edge
     dedups the edges and yields the CSR arrays: the sorted distinct keys
     divmod n are (row, column) in row-major order. u*n + v < n**2 fits
@@ -102,12 +115,21 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if id_map is None:
         flat = edges.ravel()
-        order = np.argsort(flat)
-        starts = _run_starts(flat[order])
-        id_map = flat[order[starts]]
+        top = flat.max(initial=-1)
+        if flat.min(initial=0) >= 0 and top < len(flat):
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[flat] = True
+            id_map = np.flatnonzero(seen)
+            rank = np.empty(top + 1, dtype=np.int64)  # read only at seen labels
+            rank[id_map] = np.arange(len(id_map))
+            dense = rank[flat]
+        else:
+            order = np.argsort(flat)
+            starts = _run_starts(flat[order])
+            id_map = flat[order[starts]]
+            dense = np.empty_like(flat)
+            dense[order] = np.cumsum(starts) - 1
         n = len(id_map)
-        dense = np.empty_like(flat)
-        dense[order] = np.cumsum(starts) - 1
         edges = dense.reshape(-1, 2)
     else:
         id_map = np.asarray(id_map)
@@ -139,8 +161,8 @@ def restrict_to_lcc(g: Graph) -> Graph:
     CSR rows are kept: no edge leaves a component and the renumbering
     keeps order, so each row stays sorted.
     """
-    adj = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr),
-                     shape=(g.n, g.n))
+    # float64 weights: connected_components would copy any other dtype to it
+    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
     ncomp, comp = connected_components(adj, directed=False)
     if ncomp == 1:
         return g
@@ -197,24 +219,70 @@ def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
+def _file_rows(path) -> np.ndarray | None:
+    """
+    (E, 2) int64 rows of the whole file from one np.loadtxt call, or None
+    where the block reader must decide. The file's bytes are scanned
+    first: the one-call parse needs ASCII, with only whitespace or '#'
+    before each '#' on its line, and a byte that is not UTF-8 raises
+    EdgeListParseError naming its line. A pipe can be read only once, so
+    only a regular file takes this path.
+    """
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[:err.start]
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            line = _LINE.match(data, max(head.rfind(b"\n"), head.rfind(b"\r")) + 1)[0]
+            raise EdgeListParseError(path, lineno,
+                                     line.decode("utf-8", "backslashreplace")) from None
+        return None
+    last = data.rfind(b"#")
+    if last >= 0 and _HASH_AFTER_DATA.search(data[last::-1]):  # backwards from the last '#'
+        return None
+    del data
+    path = os.fsdecode(os.path.abspath(path))  # numpy reads a str with a scheme as a URL
+    if path.endswith(_COMPRESSED):
+        return None
+    with warnings.catch_warnings():  # a file without rows is the caller's EmptyGraphError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    return rows if rows.shape[1] == 2 and not (rows < 0).any() else None
+
+
 def load_edge_list(path, lcc: bool = True) -> Graph:
     """
-    Load a whitespace-separated "u v" edge list ('#' lines are comments).
+    Load a whitespace-separated "u v" edge list ('#' lines are comments)
+    in UTF-8.
 
     Multiple edges, self loops and edge directions are collapsed to a
     simple undirected graph; with lcc=True (the default for file input)
     the graph is restricted to its largest connected component.
 
-    The file is read once, in blocks of lines; a malformed row raises
-    EdgeListParseError naming its line.
+    An ASCII regular file is parsed in one pass by numpy's C reader. A
+    file that pass rejects (or holds a negative label, a non-ASCII
+    character or a '#' after data) is read again, and a pipe is read, in
+    blocks of lines, whose line scan decides and names the first
+    malformed row in EdgeListParseError. In a regular file, a line that
+    is not UTF-8 raises EdgeListParseError before any row is read.
     """
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    lineno = 1
-    with open(path) as fh:
-        while lines := fh.readlines(_PARSE_BLOCK_CHARS):
-            blocks.append(_block_rows(path, lines, lineno))
-            lineno += len(lines)
-    edges = np.concatenate(blocks)
+    edges = _file_rows(path)
+    if edges is None:
+        blocks = [np.empty((0, 2), dtype=np.int64)]
+        lineno = 1
+        with open(path, encoding="utf-8") as fh:
+            while lines := fh.readlines(_PARSE_BLOCK_CHARS):
+                blocks.append(_block_rows(path, lines, lineno))
+                lineno += len(lines)
+        edges = np.concatenate(blocks)
     if len(edges) == 0:
         raise EmptyGraphError(f"{path}: no edges found")
     g = from_edges(edges)

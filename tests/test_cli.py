@@ -167,3 +167,11 @@ def test_pairwise_oracle_alpha_checked_before_the_graph_is_read(capsys):
                           "--pairwise")
     assert code == 1
     assert "explicit --alpha" in stderr
+
+
+def test_partition_names_the_line_that_is_not_utf8(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"0 1\n1 2\n\xff\xfe 4\n")
+    code, stdout, stderr = run(capsys, "partition", "--graph", str(graph), "--k", "2")
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {graph}:3: malformed edge line '\\\\xff\\\\xfe 4'\n"

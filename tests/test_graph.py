@@ -1,12 +1,16 @@
 import hashlib
 import io
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from streamcut import graph
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError,
                              _block_rows, from_edges, load_edge_list, restrict_to_lcc,
@@ -65,6 +69,21 @@ def labelled_pairs(draw):
     if draw(st.sampled_from([False, False, False, True])):
         pairs = [(u, u) for u, _ in pairs]
     return pairs
+
+
+@st.composite
+def labels_at_table_edge(draw):
+    """
+    Edge lists whose largest label is 2E - 1 (densified through the label
+    table), 2E or 2**63 - 1 (argsorted) for E rows, or that hold a negative label.
+    """
+    rows = draw(st.integers(1, 30))
+    top = {"table": 2 * rows - 1, "past_table": 2 * rows, "int64_max": 2**63 - 1,
+           "negative": draw(st.integers(-2**63, -1))}[draw(st.sampled_from(
+               ["table", "past_table", "int64_max", "negative"]))]
+    flat = draw(st.lists(st.integers(0, 2 * rows - 1), min_size=2 * rows, max_size=2 * rows))
+    flat[draw(st.integers(0, 2 * rows - 1))] = top
+    return list(zip(flat[0::2], flat[1::2]))
 
 
 @st.composite
@@ -152,8 +171,8 @@ def test_csr_invariants_random_edge_lists(pairs):
         assert v not in nb
 
 
-@given(labelled_pairs())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(labelled_pairs(), labels_at_table_edge()))
+@settings(max_examples=200, deadline=None)
 def test_from_edges_matches_reference_on_labels(pairs):
     g = from_edges(np.array(pairs, dtype=np.int64))
     assert g.id_map.dtype == np.int64
@@ -306,6 +325,8 @@ def load_by_line_scan(path, lcc):
     if len(edges) == 0:
         raise EmptyGraphError(f"{path}: no edges found")
     g = from_edges(edges)
+    if g.m == 0:
+        raise EmptyGraphError(f"{path}: empty graph after preprocessing")
     return restrict_to_lcc(g) if lcc else g
 
 
@@ -357,8 +378,10 @@ def test_edge_list_whole_file_cases_equal_line_scan(tmp_path, content):
         == outcome(lambda: load_by_line_scan(p, False))
 
 
-@given(st.lists(st.text("0123456789 \t\x0b\x0c\x1c#+-_.ex\x00\u01fe\u0661", max_size=12),
-                min_size=1, max_size=30))
+LINE_ALPHABET = "0123456789 \t\x0b\x0c\x1c#+-_.ex\x00\u01fe\u0661"
+
+
+@given(st.lists(st.text(LINE_ALPHABET, max_size=12), min_size=1, max_size=30))
 @settings(max_examples=300, deadline=None)
 def test_block_rows_equal_line_scan(texts):
     """Random lines: a block's rows, or its first bad line, equal the line scan's."""
@@ -371,6 +394,96 @@ def test_block_rows_equal_line_scan(texts):
             return str(err)
         return r.dtype, r.shape, r.tolist()
     assert rows(_block_rows) == rows(line_scan_rows)
+
+
+# line ends, and '#' after whitespace or after data, beside the random lines
+FILE_LINES = st.one_of(st.text(LINE_ALPHABET + "\r", max_size=12),
+                       st.sampled_from(["", " # c", "\t#", "\x0c\x1c# 1 2", "1 2 # x", "3 4#",
+                                        "# a # b", "5 6"]))
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@given(st.lists(st.tuples(FILE_LINES, st.sampled_from(["\n", "\r\n", "\r", ""])),
+                max_size=30))
+@example([])
+@example([("", "\n"), ("  ", "\r\n"), ("\t", "\r")])
+@example([("# a", "\n"), ("  # b", "\r"), ("#", "")])
+@settings(max_examples=300, deadline=None)
+def test_whole_file_load_equals_line_scan(tmp_path_factory, lines):
+    """A whole file of random lines loads to the line scan's graph or error."""
+    p = tmp_path_factory.mktemp("whole") / "g.txt"
+    p.write_bytes("".join(text + end for text, end in lines).encode())
+    for lcc in (False, True):
+        assert outcome(lambda: load_edge_list(p, lcc=lcc)) \
+            == outcome(lambda: load_by_line_scan(p, lcc))
+
+
+@pytest.mark.parametrize("content,blocks", [
+    ("# header\r\n1\t2\r\n  2 3\r\n\t# c\r\n\r\n4 5\r\n", False),
+    ("# header\n1 2\n# caf\u00e9\n2 3\n", True),
+    ("# header\n1 2 # x\n2 3\n", True),
+], ids=["plain", "non_ascii_comment", "comment_after_data"])
+def test_block_reader_runs_only_off_the_one_pass_parse(tmp_path, monkeypatch, content, blocks):
+    """A plain file is parsed in one pass; the block reader reads only what that pass cannot."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return _block_rows(*args)
+    monkeypatch.setattr(graph, "_block_rows", spy)
+    p = tmp_path / "g.txt"
+    p.write_bytes(content.encode())
+    assert outcome(lambda: load_edge_list(p, lcc=False)) \
+        == outcome(lambda: load_by_line_scan(p, False))
+    assert bool(calls) == blocks
+
+
+@pytest.mark.parametrize("name", ["g.txt.gz", "g.bz2", "g.xz", "g.lzma", "http://host/g.txt"])
+def test_edge_list_path_is_read_as_a_local_text_file(tmp_path, monkeypatch, name):
+    """numpy's loadtxt opens a name by its suffix or scheme; a plain local file stays one."""
+    monkeypatch.chdir(tmp_path)
+    Path(name).parent.mkdir(parents=True, exist_ok=True)
+    Path(name).write_text("0 1\n1 2\n")
+    g = load_edge_list(name, lcc=False)
+    assert (g.id_map.tolist(), g.m) == ([0, 1, 2], 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_edge_list_reads_a_pipe_once(tmp_path):
+    """A named pipe gives its rows once: the load must not open it again."""
+    p = tmp_path / "g.fifo"
+    os.mkfifo(p)
+    result = {}
+
+    def write():
+        with open(p, "w") as fh:
+            fh.write("# header\n0 1\n1 2\n")
+
+    def load():
+        result["graph"] = load_edge_list(p, lcc=False)
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, load)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+    assert not any(th.is_alive() for th in threads)
+    assert (result["graph"].id_map.tolist(), result["graph"].m) == ([0, 1, 2], 2)
+
+
+@pytest.mark.parametrize("content,lineno,text", [
+    (b"0 1\n\xff\xfe 4\n", 2, "\\xff\\xfe 4"),
+    (b"0 1\r\n1 2\r\n2 \xc3\xa9\xff\r\n", 3, "2 \u00e9\\xff"),
+    (b"0 1\r1 2\r\r\n# \xe9\r", 4, "# \\xe9"),
+    (b"1 x\n" + b"2 3\n" * 20_000 + b"4 \xc3", 20_002, "4 \\xc3"),
+], ids=["second_line", "crlf_after_text", "bare_cr", "later_block_cut_short"])
+def test_edge_list_names_the_line_that_is_not_utf8(tmp_path, content, lineno, text):
+    """A byte that is not UTF-8 names its line, even after a malformed row."""
+    p = tmp_path / "g.txt"
+    p.write_bytes(content)
+    with pytest.raises(EdgeListParseError) as err:
+        load_edge_list(p)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"{p}:{lineno}: malformed edge line {text!r}"
 
 
 def test_edge_list_accepts_int_syntax_and_largest_label(tmp_path):
