@@ -11,11 +11,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 _PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings the fallback reader holds at once
-# a '#' read backwards to a character other than str.split()'s ASCII whitespace,
-# '#' and line ends: "1 2 # x" is a bad row to the line scan, a comment to numpy
-_HASH_AFTER_DATA = re.compile(rb"#[ \t\x0b\x0c\x1c-\x1f#]*[^ \t\x0b\x0c\x1c-\x1f#\r\n]")
+# read backwards: a line's first '#' with a character other than str.split()'s ASCII
+# whitespace before it ("1 2 # x" is a bad row to the line scan, a comment to numpy);
+# only that '#' decides, so "# a # b" is a comment line
+_HASH_AFTER_DATA = re.compile(
+    rb"#[ \t\x0b\x0c\x1c-\x1f]*[^ \t\x0b\x0c\x1c-\x1f#\r\n][^#\r\n]*(?:[\r\n]|\Z)")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names numpy's loadtxt would decompress
 _LINE = re.compile(rb"[^\r\n]*")
+_UNDECODED = re.compile("[\udc80-\udcff]")  # bytes the surrogateescape decoder kept
 _INT64_MAX = np.iinfo(np.int64).max
 SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
 BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
@@ -186,9 +189,14 @@ def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     other than two, a non-integer, a label beyond int64), one with a
     negative label and one with a non-ASCII character (numpy 2.4 reads
     U+01FE then "1" as 4621) are read line by line to name the first bad
-    row.
+    row. A line holding a byte that is not UTF-8 (decoded to a lone
+    surrogate) is named first.
     """
     body, text = lines, "".join(lines)
+    if not text.isascii() and _UNDECODED.search(text):  # comment lines too, as in a file
+        at = next(i for i, line in enumerate(lines) if _UNDECODED.search(line))
+        raise EdgeListParseError(path, lineno + at, lines[at].rstrip("\n").encode(
+            errors="surrogateescape").decode(errors="backslashreplace"))
     if "#" in text:  # "1 2 # x" is kept, and rejected below (comments=None)
         body = [s for s in lines if not s.lstrip().startswith("#")]
         text = "".join(body)
@@ -223,8 +231,8 @@ def _file_rows(path) -> np.ndarray | None:
     """
     (E, 2) int64 rows of the whole file from one np.loadtxt call, or None
     where the block reader must decide. The file's bytes are scanned
-    first: the one-call parse needs ASCII, with only whitespace or '#'
-    before each '#' on its line, and a byte that is not UTF-8 raises
+    first: the one-call parse needs ASCII, with only whitespace before
+    each line's first '#', and a byte that is not UTF-8 raises
     EdgeListParseError naming its line. A pipe can be read only once, so
     only a regular file takes this path.
     """
@@ -271,14 +279,15 @@ def load_edge_list(path, lcc: bool = True) -> Graph:
     file that pass rejects (or holds a negative label, a non-ASCII
     character or a '#' after data) is read again, and a pipe is read, in
     blocks of lines, whose line scan decides and names the first
-    malformed row in EdgeListParseError. In a regular file, a line that
-    is not UTF-8 raises EdgeListParseError before any row is read.
+    malformed row in EdgeListParseError. A line that is not UTF-8 raises
+    EdgeListParseError too: in a regular file before any row is read, in
+    a pipe when the block reader comes to it.
     """
     edges = _file_rows(path)
     if edges is None:
         blocks = [np.empty((0, 2), dtype=np.int64)]
         lineno = 1
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             while lines := fh.readlines(_PARSE_BLOCK_CHARS):
                 blocks.append(_block_rows(path, lines, lineno))
                 lineno += len(lines)

@@ -193,18 +193,18 @@ def eval_modularity_form(snap: PartitionSnapshot, p: float) -> float:
     return float(snap.cluster_internal_edges.sum() - p * (s * (s - 1.0) / 2.0).sum())
 
 
-def delta_g(snap: PartitionSnapshot, config: ObjectiveConfig,
-            neighbor_counts: np.ndarray) -> np.ndarray:
+def delta_g(counters, config: ObjectiveConfig, neighbor_counts: np.ndarray) -> np.ndarray:
     """
     Greedy score vector over clusters for the arriving vertex:
     delta_g[i] = |N(v) ∩ S_i| - [marginal cost of adding v to S_i].
 
-    vertex mode charges the size marginal at |S_i|; interior-edge mode
+    counters[i] is the size the cost reads: |S_i| in vertex mode, which
+    charges the size marginal at |S_i|; e_i in interior-edge mode, which
     charges c(e_i + nbrs_i) - c(e_i), the cost of the edges v closes.
     """
     nbrs = np.asarray(neighbor_counts, dtype=np.float64)
+    x = np.asarray(counters, dtype=np.float64)
     if config.size_mode == "vertex":
-        return nbrs - marginal_cost(config, snap.cluster_vertex_counts)
-    e = snap.cluster_internal_edges.astype(np.float64)
+        return nbrs - marginal_cost(config, x)
     a, gm = config.alpha_value, config.gamma
-    return nbrs - a * ((e + nbrs) ** gm - e ** gm)
+    return nbrs - a * ((x + nbrs) ** gm - x ** gm)

@@ -54,7 +54,7 @@ def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) 
 @dataclass
 class StreamStats:
     runtime_ms: float = 0.0
-    threshold_violations: int = 0
+    threshold_violations: int = 0  # kept at 0: with nu >= 1 some cluster is always under the cap
     neighbor_scans: int = 0
 
 
@@ -84,10 +84,10 @@ class PartitionRun:
         reads = heuristic in READS_OBJECTIVE
         if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
-        self._cap = self.config.nu * g.n / k if reads else math.inf
         self._degrees = g.degrees
         if heuristic != "hash":  # hash only draws
-            self._load = _load_table(term, self.config, g.n, k, self._cap)
+            cap = self.config.nu * g.n / k if reads else math.inf
+            self._load = _load_table(term, self.config, g.n, k, cap)
             # k + stream position of each arrival (a placed one is told by its cluster), else
             # _FREE; _block_triangles marks a block's placed neighbours with their clusters
             self._mark = np.full(g.n, _FREE, dtype=np.int64)
@@ -155,6 +155,7 @@ class PartitionRun:
         k = self.k
         before = cu >= 0
         base = np.bincount(owner[before] * k + cu[before], minlength=b * k).reshape(b, k)
+        base = base.astype(np.float64)  # so the score runs on one dtype; counts < 2**53
         q = self._mark[u[~before]] - (k + b0)  # the earlier neighbour's place in the block
         order = q.argsort()
         return (base, np.bincount(owner, minlength=b).tolist(), owner[~before][order].tolist(),
@@ -195,11 +196,12 @@ class PartitionRun:
 
     def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
         """The per-vertex step: count the neighbours' clusters (a row of the block's
-        _counts, or one gather), score, pick, commit."""
+        _counts, or one gather), score, pick, commit. Nothing else writes the snapshot in a
+        run: its counters are Python ints until the end, and charge[i] is load[|S_i|]."""
         snap = self.snapshot
-        k, cap, op, load, config = self.k, self._cap, self._op, self._load, self.config
-        assignment, sizes = snap.assignment, snap.cluster_vertex_counts
-        internal = snap.cluster_internal_edges
+        k, op, load, config = self.k, self._op, self._load, self.config
+        assignment, charge = snap.assignment, load[snap.cluster_vertex_counts]
+        sizes, internal = snap.cluster_vertex_counts.tolist(), snap.cluster_internal_edges.tolist()
         surplus = self._signal == "surplus"
         if block is None:
             indptr, indices = self._indptr, self.graph.indices
@@ -207,14 +209,14 @@ class PartitionRun:
             base, nplaced, later, lstarts = block
         min_load = self.tie_policy == "min_load"
         starts, pu, pw = pairs or (None,) * 3
-        cut = spills = 0
+        cut = 0
         for j, v in enumerate(vertices):
             if block is None:
                 nbr = indices[indptr[v]:indptr[v + 1]]
                 slots = assignment[nbr]
                 slots += 1  # slot 0 counts the unplaced neighbours
                 counts = np.bincount(slots, minlength=k + 1)
-                placed = len(nbr) - int(counts[0])
+                placed = len(nbr) - counts.item(0)
                 counts = counts[1:]
             else:
                 counts, placed = base[j], nplaced[j]
@@ -226,26 +228,24 @@ class PartitionRun:
                     hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
                     signal = signal + np.bincount(cu[hit], minlength=k)
             if surplus:  # interior-edge fennel: the charge depends on the counts
-                signal = delta_g(snap, config, signal)
-            scores = op(signal, load[sizes])
+                signal = delta_g(internal, config, signal)
+            scores = op(signal, charge)
             c = int(scores.argmax())  # lowest index among ties
-            if scores[c] == -math.inf and (sizes > cap).all():
-                c = int(sizes.argmin())  # every cluster over the nu cap: spill
-                spills += 1
-            elif min_load and scores[::-1].argmax() != k - 1 - c:  # tie
-                best = (scores == scores[c]).nonzero()[0]
-                c = int(best[sizes[best].argmin()])
-            inside = int(counts[c])
+            if min_load and scores[::-1].argmax() != k - 1 - c:  # tie: lowest least loaded
+                c = min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
+            inside = int(counts.item(c))
             assignment[v] = c
             sizes[c] += 1
+            charge[c] = load[sizes[c]]
             internal[c] += inside
             cut += placed - inside
             if block is not None:
                 for t in later[lstarts[j]:lstarts[j + 1]]:  # few: cheaper one by one
                     base[t, c] += 1
+        snap.cluster_vertex_counts[:] = sizes
+        snap.cluster_internal_edges[:] = internal
         snap.cut_edges += cut
         snap.assigned_count += len(vertices)
-        self.stats.threshold_violations += spills
 
 
 def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,

@@ -422,7 +422,8 @@ def test_whole_file_load_equals_line_scan(tmp_path_factory, lines):
     ("# header\r\n1\t2\r\n  2 3\r\n\t# c\r\n\r\n4 5\r\n", False),
     ("# header\n1 2\n# caf\u00e9\n2 3\n", True),
     ("# header\n1 2 # x\n2 3\n", True),
-], ids=["plain", "non_ascii_comment", "comment_after_data"])
+    ("# a # b\n1 2\n2 3\n", False),
+], ids=["plain", "non_ascii_comment", "comment_after_data", "second_hash_in_comment"])
 def test_block_reader_runs_only_off_the_one_pass_parse(tmp_path, monkeypatch, content, blocks):
     """A plain file is parsed in one pass; the block reader reads only what that pass cannot."""
     calls = []
@@ -448,26 +449,48 @@ def test_edge_list_path_is_read_as_a_local_text_file(tmp_path, monkeypatch, name
     assert (g.id_map.tolist(), g.m) == ([0, 1, 2], 2)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_edge_list_reads_a_pipe_once(tmp_path):
-    """A named pipe gives its rows once: the load must not open it again."""
+def load_from_pipe(tmp_path, content: bytes):
+    """outcome() of loading a named pipe that content is written to once."""
     p = tmp_path / "g.fifo"
     os.mkfifo(p)
     result = {}
 
     def write():
-        with open(p, "w") as fh:
-            fh.write("# header\n0 1\n1 2\n")
+        with open(p, "wb") as fh:
+            fh.write(content)
 
     def load():
-        result["graph"] = load_edge_list(p, lcc=False)
+        result["outcome"] = outcome(lambda: load_edge_list(p, lcc=False))
     threads = [threading.Thread(target=f, daemon=True) for f in (write, load)]
     for th in threads:
         th.start()
     for th in threads:
         th.join(timeout=10)
     assert not any(th.is_alive() for th in threads)
-    assert (result["graph"].id_map.tolist(), result["graph"].m) == ([0, 1, 2], 2)
+    return result["outcome"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_edge_list_reads_a_pipe_once(tmp_path):
+    """A named pipe gives its rows once: the load must not open it again."""
+    _, m, (_, _, (_, id_map)) = load_from_pipe(tmp_path, b"# header\n0 1\n1 2\n")
+    assert (id_map, m) == ([0, 1, 2], 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("content", [
+    b"0 1\n1 2\n\xff\xfe 4\n", b"0 1\r\n1 2\r\n2 \xc3\xa9\xff\r\n", b"0 1\r1 2\r\r\n# \xe9\r",
+    b"2 3\n" * 20_000 + b"4 \xc3"],
+    ids=["third_line", "crlf_after_text", "bare_cr_comment", "later_block_cut_short"])
+def test_a_pipe_names_the_line_that_is_not_utf8(tmp_path, content):
+    """The block reader names a byte that is not UTF-8 in a pipe as a file's load does:
+    same line (\\r, \\n and \\r\\n each end one), same text."""
+    p = tmp_path / "g.txt"
+    p.write_bytes(content)
+    kind, message, lineno = outcome(lambda: load_edge_list(p))
+    assert kind == "EdgeListParseError"
+    assert load_from_pipe(tmp_path, content) \
+        == (kind, message.replace(str(p), str(tmp_path / "g.fifo")), lineno)
 
 
 @pytest.mark.parametrize("content,lineno,text", [

@@ -183,7 +183,7 @@ def test_delta_g_ranks_clusters_like_exact_f_change(marginal_mode, seed):
     cfg = ObjectiveConfig(gamma=1.5, marginal_mode=marginal_mode).resolve(g, k)
     counts = np.array([(snap.assignment[g.neighbors(v)] == c).sum()
                        for c in range(k)], dtype=np.float64)
-    scores = delta_g(snap, cfg, counts)
+    scores = delta_g(snap.cluster_vertex_counts, cfg, counts)
     assert scores.shape == (k,)
     if marginal_mode == "discrete":
         # score differences must equal exact f differences, so the greedy

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut import graph
 from streamcut.graph import from_edges
-from streamcut.objective import ObjectiveConfig, SnapshotError, build_snapshot, recount
+from streamcut.objective import (ObjectiveConfig, SnapshotError, build_snapshot, delta_g,
+                                 recount)
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
                                    partition_stream)
 from streamcut import partitioner
@@ -273,8 +274,8 @@ def test_threshold_restricts_loads():
 
 
 def test_threshold_violation_counter_fires_when_binding():
-    # nu=1 on a star: the hub's cluster fills instantly, later vertices
-    # must spill and the spill is counted
+    # nu=1 on a star: the hub's cluster fills, and later vertices go to the
+    # other, which is under the cap (no spill is possible at nu >= 1)
     g = graph_from_pairs([(0, i) for i in range(1, 13)])
     plan = StreamPlan("random", 0, np.arange(13))
     cfg = ObjectiveConfig(gamma=1.5, nu=1.0)
@@ -283,6 +284,27 @@ def test_threshold_violation_counter_fires_when_binding():
     assert stats.threshold_violations == 0  # eligible set never empties at nu=1
     cap = g.n / 2
     assert snap.cluster_vertex_counts.max() <= math.floor(cap) + 1
+
+
+@given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
+       k=st.integers(1, 8), heuristic=st.sampled_from(HEURISTICS),
+       order=st.sampled_from(["random", "bfs"]), placed=st.floats(0.0, 1.0),
+       size_mode=st.sampled_from(["vertex", "interior_edge"]),
+       tie=st.sampled_from(TIE_POLICIES), seed=st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_the_tightest_cap_never_spills(n, p, graph_seed, k, heuristic, order, placed,
+                                       size_mode, tie, seed):
+    """At nu = 1, k clusters all over the cap n/k would hold more than n vertices, and
+    at most n - 1 are placed before an arrival: one is always under it, so none spills."""
+    g = random_gnp(n, p, seed=graph_seed)
+    plan = make_stream(g, order, seed)
+    plan = StreamPlan(order, seed, plan.sequence[:round(placed * g.n)])
+    snap, stats = partition_stream(g, plan, k, heuristic,
+                                   ObjectiveConfig(nu=1.0, size_mode=size_mode), seed,
+                                   tie_policy=tie)
+    assert stats.threshold_violations == 0
+    if heuristic in partitioner.READS_OBJECTIVE:  # the only rule that reads the cap
+        assert snap.cluster_vertex_counts.max() <= g.n // k + 1
 
 
 def test_tie_policies_agree_for_strict_gamma():
@@ -527,6 +549,39 @@ def test_hash_builds_no_per_vertex_tables():
     assert run.snapshot.assigned_count == g.n
 
 
+def reference_assignment(g, plan, k, heuristic, cfg, seed, tie):
+    """The step by hand, one arrival at a time: neighbour counts by a loop, triangles by
+    brute force, scores op(signal, load[|S_i|]) from the rule's table, and the tie policy
+    over every cluster with the top score; hash gives the stream its seeded draws."""
+    a = np.full(g.n, -1, dtype=np.int64)
+    if heuristic == "hash":
+        a[plan.sequence] = np.random.Generator(np.random.PCG64(seed)).integers(
+            k, size=len(plan.sequence))
+        return a
+    cfg = cfg.resolve(g, k)
+    term, op = partitioner._RULES[heuristic]
+    reads = heuristic in partitioner.READS_OBJECTIVE
+    surplus = reads and cfg.size_mode == "interior_edge"
+    load = partitioner._load_table("none" if surplus else term, cfg, g.n, k,
+                                   cfg.nu * g.n / k if reads else math.inf)
+    sizes, internal = [0] * k, [0] * k
+    for v in plan.sequence:
+        counts = np.zeros(k, dtype=np.int64)
+        for u in g.neighbors(v):
+            if a[u] >= 0:
+                counts[a[u]] += 1
+        signal = brute_triangles(g, a, v, k) if heuristic in ("t", "lt", "et") else counts
+        if surplus:
+            signal = delta_g(internal, cfg, signal)
+        scores = op(signal, load[sizes])
+        best = np.flatnonzero(scores == scores.max()).tolist()
+        c = best[0] if tie == "lowest_index" else min(best, key=lambda i: (sizes[i], i))
+        a[v] = c
+        sizes[c] += 1
+        internal[c] += int(counts[c])
+    return a
+
+
 @given(n=st.integers(2, 40), p=st.floats(0.0, 0.5), graph_seed=st.integers(0, 100),
        k=st.integers(1, 6), heuristic=st.sampled_from(HEURISTICS),
        order=st.sampled_from(["random", "bfs", "dfs"]),
@@ -536,10 +591,13 @@ def test_hash_builds_no_per_vertex_tables():
 @settings(max_examples=150, deadline=None)
 def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, order,
                                               tie, size_mode, nu, seed):
+    """The counters equal a rebuild, and every choice equals the reference step's."""
     g = random_gnp(n, p, seed=graph_seed)
     plan = make_stream(g, order, seed)
     cfg = ObjectiveConfig(nu=nu, size_mode=size_mode)
     snap, _ = partition_stream(g, plan, k, heuristic, cfg, seed, tie_policy=tie)
+    assert np.array_equal(snap.assignment,
+                          reference_assignment(g, plan, k, heuristic, cfg, seed, tie))
     ref = build_snapshot(g, snap.assignment, k)
     assert snap.assigned_count == g.n
     assert snap.cut_edges == ref.cut_edges
