@@ -21,8 +21,6 @@ _LINE = re.compile(rb"[^\r\n]*")
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes the surrogateescape decoder kept
 _INT64_MAX = np.iinfo(np.int64).max
 SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
-BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
-MIN_BLOCK = 64  # arrivals a window needs for that (32 entries each); fewer count one by one
 
 
 class EdgeListParseError(ValueError):

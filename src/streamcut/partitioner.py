@@ -8,33 +8,27 @@ from functools import cached_property
 
 import numpy as np
 
-from . import graph
 from .graph import Graph, spans
 from .objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError, delta_g,
                         marginal_cost, recount)
 from .stream import StreamPlan
 
-HEURISTICS = ("fennel", "hash", "balanced", "dg", "ldg", "edg", "t", "lt", "et", "nn")
+# Each rule scores cluster i as op(signal_i, load[|S_i|]), the signal being |N(v) ∩ S_i|
+# ("neighbors") or t_{S_i}(v) ("triangles"); hash has none and draws instead.
+_RULES = {"fennel": ("neighbors", "marginal", np.subtract), "hash": (None, None, None),
+          "balanced": ("neighbors", "size", lambda _, load: -load),
+          "dg": ("neighbors", "none", np.subtract), "ldg": ("neighbors", "linear", np.multiply),
+          "edg": ("neighbors", "exp", np.multiply), "t": ("triangles", "none", np.subtract),
+          "lt": ("triangles", "linear", np.multiply), "et": ("triangles", "exp", np.multiply),
+          "nn": ("neighbors", "size", np.subtract)}
+HEURISTICS = tuple(_RULES)
+# The rules charged the objective's marginal cost read the ObjectiveConfig (that cost, its
+# nu cap, interior-edge delta_g); any other rule's run is the same under every config.
+READS_OBJECTIVE = frozenset(h for h, (_, term, _) in _RULES.items() if term == "marginal")
 TIE_POLICIES = ("lowest_index", "min_load")
 _FREE = np.iinfo(np.int64).max  # mark of a vertex outside the stream (or placed, for t/lt/et)
-
-
-def _exp_weighted(signal: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """signal * (1 - exp(size - capacity)), literal; exactly 0 where signal = 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(signal > 0, signal * weight, 0.0)
-
-
-# Each rule scores cluster i as op(signal_i, load[|S_i|]), the signal being
-# t_{S_i}(v) for t/lt/et and |N(v) ∩ S_i| otherwise; hash draws instead.
-_RULES = {"fennel": ("marginal", np.subtract), "hash": ("none", None),
-          "balanced": ("size", lambda _, load: -load), "dg": ("none", np.subtract),
-          "nn": ("size", np.subtract), "ldg": ("linear", np.multiply),
-          "edg": ("exp", _exp_weighted), "t": ("none", np.subtract),
-          "lt": ("linear", np.multiply), "et": ("exp", _exp_weighted)}
-# Only the edge-surplus rule reads the ObjectiveConfig (its marginal load table, its
-# nu cap, interior-edge delta_g); any other rule's run is the same under every config.
-READS_OBJECTIVE = frozenset({"fennel"})
+BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
+MIN_BLOCK = 64  # arrivals a window needs for that (32 entries each); fewer count one by one
 
 
 def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) -> np.ndarray:
@@ -42,9 +36,11 @@ def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) 
     x = np.arange(n + 1, dtype=np.float64)
     if term == "marginal":
         load = marginal_cost(config, x)
-    elif term in ("linear", "exp"):
+    elif term == "linear":
+        load = 1.0 - x / (n / k)
+    elif term == "exp":  # floored, so weight * signal is finite for any signal <= n**2
         with np.errstate(over="ignore"):
-            load = 1.0 - (x / (n / k) if term == "linear" else np.exp(x - n / k))
+            load = np.maximum(1.0 - np.exp(x - n / k), -np.finfo(np.float64).max / (n + 1) ** 2)
     else:
         load = x if term == "size" else np.zeros(n + 1)
     load[x > cap] = np.inf  # a cluster over the nu cap scores -inf
@@ -79,13 +75,12 @@ class PartitionRun:
         self.config = config.resolve(g, k)
         self.tie_policy = tie_policy
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        term, self._op = _RULES[heuristic]
-        self._signal = "triangles" if heuristic in ("t", "lt", "et") else "neighbors"
+        self._signal, term, self._op = _RULES[heuristic]
         reads = heuristic in READS_OBJECTIVE
         if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
         self._degrees = g.degrees
-        if heuristic != "hash":  # hash only draws
+        if self._signal is not None:  # hash only draws
             cap = self.config.nu * g.n / k if reads else math.inf
             self._load = _load_table(term, self.config, g.n, k, cap)
             # k + stream position of each arrival (a placed one is told by its cluster), else
@@ -165,7 +160,7 @@ class PartitionRun:
         """Assign a checked stream, distinct ids in [0, n), in order."""
         k = self.k
         self.stats.neighbor_scans = int(self._degrees[run].sum())
-        if self.heuristic == "hash":  # the seeded draws in arrival order
+        if self._signal is None:  # hash: the seeded draws in arrival order
             self.snapshot.assignment[run] = self.rng.integers(k, size=len(run))
             recount(self.snapshot)
             return
@@ -180,10 +175,10 @@ class PartitionRun:
                 self._steps(run[lo:hi].tolist(), counts, tri, pairs)
                 self._mark[run[lo:hi]] = _FREE  # placed
             return
-        # a block: the arrivals whose running total of degree + 1 ends in one graph.BLOCK
-        # window; under graph.MIN_BLOCK arrivals (a dense graph's) they count one by one
-        size = np.bincount(np.cumsum(self._degrees[run] + 1) // graph.BLOCK)
-        long = size >= graph.MIN_BLOCK
+        # a block: the arrivals whose running total of degree + 1 ends in one BLOCK
+        # window; under MIN_BLOCK arrivals (a dense graph's) they count one by one
+        size = np.bincount(np.cumsum(self._degrees[run] + 1) // BLOCK)
+        long = size >= MIN_BLOCK
         hi = np.cumsum(size)[long]
         at = 0
         for b0, b1 in zip((hi - size[long]).tolist(), hi.tolist()):

@@ -12,7 +12,7 @@ from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut import graph
 from streamcut.graph import from_edges
 from streamcut.objective import (ObjectiveConfig, SnapshotError, build_snapshot, delta_g,
-                                 recount)
+                                 marginal_cost, recount)
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
                                    partition_stream)
 from streamcut import partitioner
@@ -124,17 +124,22 @@ def test_ldg_trace_on_path():
 
 
 def test_edg_scores_exact_zero_without_assigned_neighbors():
-    g = random_gnp(10, 0.3, seed=2)
-    run = PartitionRun(g, 3, "edg", CFG.resolve(g, 3), seed=0)
+    """Scored through the run's table, a cluster with no placed neighbours scores zero
+    (either sign), and an oversized one with some scores negative and finite: also at
+    a size beyond n/k + 710, where exp overflows, and for a signal as large as n**2."""
+    g = from_edges(np.array([[0, 1]]), id_map=np.arange(1200))
+    run = PartitionRun(g, 3, "edg", CFG.resolve(g, 3), seed=0)  # n/k = 400
+    run.snapshot.cluster_vertex_counts[:] = [0, 450, 1150]
 
     def scores(signal):  # the step's score: op(signal, load[|S_i|])
         return run._op(signal, run._load[run.snapshot.cluster_vertex_counts])
 
-    assert np.all(scores(np.zeros(3, dtype=np.int64)) == 0.0)
-    # oversized cluster with real neighbors scores negative, not nan
-    run.snapshot.cluster_vertex_counts[0] = 9
-    got = scores(np.array([2, 0, 0]))
-    assert np.isfinite(got).all() and got[0] < 0.0
+    for signal in ([0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 3, 1],
+                   [1, g.n ** 2, g.n ** 2]):
+        signal = np.array(signal, dtype=np.float64)
+        got = scores(signal)
+        assert np.isfinite(got).all() and got[0] >= 0.0
+        assert np.all(got[1:][signal[1:] > 0] < 0.0) and np.all(got[signal == 0] == 0.0)
 
 
 def brute_triangles(g, assignment, v, k):
@@ -495,13 +500,14 @@ def test_golden_traces_across_triangle_blocks(graph, label):
     assert trace_digest(graph, label) == BLOCK_TRACES[graph, label]
 
 
-@pytest.mark.parametrize("bound, minimum", [(1, 1), (512, 2), (graph.BLOCK, graph.MIN_BLOCK)])
+@pytest.mark.parametrize("bound, minimum",
+                         [(1, 1), (512, 2), (partitioner.BLOCK, partitioner.MIN_BLOCK)])
 def test_neighbour_blocks_leave_every_trace_unchanged(monkeypatch, bound, minimum):
     """Blocks of one arrival, blocks of a few, and the default split (blocks on
     cl2000, single arrivals on hp600) all give the BLOCK_TRACES."""
-    default = (bound, minimum) == (graph.BLOCK, graph.MIN_BLOCK)
-    monkeypatch.setattr(graph, "BLOCK", bound)
-    monkeypatch.setattr(graph, "MIN_BLOCK", minimum)
+    default = (bound, minimum) == (partitioner.BLOCK, partitioner.MIN_BLOCK)
+    monkeypatch.setattr(partitioner, "BLOCK", bound)
+    monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
     blocks = []
     counts = PartitionRun._counts
     monkeypatch.setattr(PartitionRun, "_counts", lambda run, owner, u, cu, b0, b:
@@ -528,8 +534,8 @@ def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
     assert all(pos[g.neighbors(v)].min() < pos[v] for v in plan.sequence[1:])
     runs = []
     for bound, minimum, span in ((1 << 12, 1, graph.SPAN), (1, 1, 1)):
-        monkeypatch.setattr(graph, "BLOCK", bound)
-        monkeypatch.setattr(graph, "MIN_BLOCK", minimum)
+        monkeypatch.setattr(partitioner, "BLOCK", bound)
+        monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
         monkeypatch.setattr(graph, "SPAN", span)
         snap, stats = partition_stream(g, plan, 3, heuristic, ObjectiveConfig(nu=1.1), seed=2,
                                        tie_policy="min_load")
@@ -549,21 +555,35 @@ def test_hash_builds_no_per_vertex_tables():
     assert run.snapshot.assigned_count == g.n
 
 
+def reference_scores(heuristic, signal, sizes, internal, cfg, n, k):
+    """Each rule's score of every cluster, written from its formula with C = n/k."""
+    s, size, capacity = np.asarray(signal, dtype=np.float64), np.array(sizes, float), n / k
+    if heuristic == "fennel":
+        score = (delta_g(internal, cfg, s) if cfg.size_mode == "interior_edge"
+                 else s - marginal_cost(cfg, size))
+        return np.where(size > cfg.nu * n / k, -np.inf, score)
+    if heuristic == "balanced":
+        return -size
+    if heuristic in ("dg", "t"):
+        return s
+    if heuristic == "nn":
+        return s - size
+    if heuristic in ("ldg", "lt"):
+        return s * (1.0 - size / capacity)
+    with np.errstate(over="ignore", invalid="ignore"):  # edg, et: 0 * -inf is nan
+        return np.where(s > 0, s * (1.0 - np.exp(size - capacity)), 0.0)
+
+
 def reference_assignment(g, plan, k, heuristic, cfg, seed, tie):
     """The step by hand, one arrival at a time: neighbour counts by a loop, triangles by
-    brute force, scores op(signal, load[|S_i|]) from the rule's table, and the tie policy
-    over every cluster with the top score; hash gives the stream its seeded draws."""
+    brute force, scores from reference_scores, and the tie policy over every cluster
+    with the top score; hash gives the stream its seeded draws."""
     a = np.full(g.n, -1, dtype=np.int64)
     if heuristic == "hash":
         a[plan.sequence] = np.random.Generator(np.random.PCG64(seed)).integers(
             k, size=len(plan.sequence))
         return a
     cfg = cfg.resolve(g, k)
-    term, op = partitioner._RULES[heuristic]
-    reads = heuristic in partitioner.READS_OBJECTIVE
-    surplus = reads and cfg.size_mode == "interior_edge"
-    load = partitioner._load_table("none" if surplus else term, cfg, g.n, k,
-                                   cfg.nu * g.n / k if reads else math.inf)
     sizes, internal = [0] * k, [0] * k
     for v in plan.sequence:
         counts = np.zeros(k, dtype=np.int64)
@@ -571,9 +591,7 @@ def reference_assignment(g, plan, k, heuristic, cfg, seed, tie):
             if a[u] >= 0:
                 counts[a[u]] += 1
         signal = brute_triangles(g, a, v, k) if heuristic in ("t", "lt", "et") else counts
-        if surplus:
-            signal = delta_g(internal, cfg, signal)
-        scores = op(signal, load[sizes])
+        scores = reference_scores(heuristic, signal, sizes, internal, cfg, g.n, k)
         best = np.flatnonzero(scores == scores.max()).tolist()
         c = best[0] if tie == "lowest_index" else min(best, key=lambda i: (sizes[i], i))
         a[v] = c
@@ -603,6 +621,27 @@ def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, or
     assert snap.cut_edges == ref.cut_edges
     assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
     assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
+
+
+@functools.cache
+def overflow_graph():
+    """150 random rows over 2000 vertices: most are isolated, so at k = 2 with
+    lowest-index ties one cluster passes n/k + 710, where exp overflows."""
+    rows = np.random.default_rng(0).integers(0, 2000, size=(150, 2))
+    return from_edges(rows, id_map=np.arange(2000))
+
+
+@pytest.mark.parametrize("heuristic", ["edg", "et"])
+@pytest.mark.parametrize("tie", TIE_POLICIES)
+@pytest.mark.parametrize("order", ["random", "bfs"])
+def test_exp_rules_past_the_overflow_match_the_reference(heuristic, tie, order):
+    g = overflow_graph()
+    plan = make_stream(g, order, seed=1)
+    snap, _ = partition_stream(g, plan, 2, heuristic, CFG, seed=1, tie_policy=tie)
+    if tie == "lowest_index":
+        assert snap.cluster_vertex_counts.max() > g.n / 2 + 710
+    assert np.array_equal(snap.assignment,
+                          reference_assignment(g, plan, 2, heuristic, CFG, 1, tie))
 
 
 def test_only_the_objective_rules_read_the_objective():
