@@ -12,11 +12,9 @@ from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import Graph, load_edge_list
 from .metrics import (CSV_COLUMNS, RunResult, compute_lambda, compute_rho,
                       aggregate_rows, error_row, evaluate_run, result_to_row)
-from .objective import (AUTO, ObjectiveConfig, PartitionSnapshot, build_snapshot, eval_f,
-                        eval_g)
-from .partitioner import (HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, StreamStats,
-                          partition_stream)
-from .stream import ORDER_KINDS, StreamPlan, make_stream
+from .objective import AUTO, ObjectiveConfig, build_snapshot, eval_f, eval_g
+from .partitioner import HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, partition_stream
+from .stream import ORDER_KINDS, make_stream
 
 MATCH = "match"  # a generator's k that tracks the run's k
 
@@ -70,12 +68,16 @@ class BenchSpec:
             raise BenchSpecError("k must be >= 1 and seeds >= 0")
         for key, values in (("k", self.k_list), ("gamma", [c.gamma for c in self.objectives]),
                             ("order", self.order_list), ("heuristic", self.heuristic_list),
-                            ("seeds", self.seeds)):
+                            ("seeds", self.seeds), ("graph", self.graphs)):
             seen = set()
             for x in values:  # a repeat would run and count the same runs twice
-                if x in seen:
+                same = x
+                if key == "graph":  # by typed params: p=0.5 and p=.5 are one graph
+                    kind, params, _ = _parse_graph_spec(x)  # raises on malformed entries
+                    same = kind, *sorted(params.items())
+                if same in seen:
                     raise BenchSpecError(f"repeated {key} value {x!r}")
-                seen.add(x)
+                seen.add(same)
         for h in self.heuristic_list:
             if h not in HEURISTICS:
                 raise BenchSpecError(f"unknown heuristic {h!r}")
@@ -84,8 +86,6 @@ class BenchSpec:
                 raise BenchSpecError(f"unknown order {o!r}")
         if self.tie_policy not in TIE_POLICIES:
             raise BenchSpecError(f"unknown tie policy {self.tie_policy!r}")
-        for spec in self.graphs:
-            _parse_graph_spec(spec)  # raises on malformed entries
 
 
 def _parse_graph_spec(spec: str) -> tuple[str, dict, dict[str, str]]:
@@ -206,67 +206,65 @@ def _instance(kind: str, params: dict, text: dict[str, str], k: int, seed: int,
 
 def run_bench(spec: BenchSpec):
     """
-    Execute the matrix sequentially in deterministic order and write the
-    CSV: one row per run, then mean/std aggregate rows per group. Failures
-    become error rows; the matrix keeps going. Each graph instance is built
-    (or fails to build) once, and runs on it with the same order and seed
-    share one (read-only) arrival sequence. A rule that reads no objective
-    setting is partitioned once per (instance, k, order, seed) and that run
-    is evaluated, runtime_ms and threshold_violations included, for every
-    objective. Instances and sequences are dropped when their directive is
-    done, and for a k=match generator when its k is done.
+    Execute the matrix sequentially and write the CSV: one row per run in
+    contract order (graph, k, objective, order, heuristic, seed), then mean/std
+    aggregate rows per group. Failures become error rows; the matrix keeps
+    going. Runs are made one graph instance at a time (see _run_instance).
     """
     spec.validate()
-    rows: list[list[str]] = []
-    results: list[RunResult] = []
-    for gspec in spec.graphs:
+    cells: dict[tuple[int, ...], tuple[list[str], RunResult | None]] = {}
+    ks, seeds = list(enumerate(spec.k_list)), list(enumerate(spec.seeds))
+    for gi, gspec in enumerate(spec.graphs):
         kind, params, text = _parse_graph_spec(gspec)
-        # by seed (one for a path): (graph, name), or the error its build raised
-        instances: dict[int | None, tuple[Graph, str] | Exception] = {}
-        plans: dict[tuple[str, int], StreamPlan] = {}  # by (order, seed)
-        for k in spec.k_list:
-            if params.get("k") == MATCH:
-                instances.clear()
-                plans.clear()
-            # runs that read no objective, by (order, seed, heuristic), kept only
-            # while a later objective of this k will take them
-            shared: dict[tuple[str, int, str], tuple[PartitionSnapshot, StreamStats]] = {}
-            for config, order, heuristic, seed in itertools.product(
-                    spec.objectives, spec.order_list, spec.heuristic_list, spec.seeds):
-                name = gspec
-                try:
-                    key = None if kind == "path" else seed
-                    if key not in instances:
-                        try:
-                            instances[key] = _instance(kind, params, text, k, seed, spec.lcc)
-                        except Exception as ex:  # every run on it fails alike
-                            instances[key] = ex
-                    if isinstance(instances[key], Exception):
-                        raise instances[key]
-                    g, name = instances[key]
-                    if (order, seed) not in plans:
-                        plans[order, seed] = make_stream(g, order, seed)
-                    # a config the run would fail to resolve fails alike in evaluate_run
-                    run = shared.pop((order, seed, heuristic), None) or partition_stream(
-                        g, plans[order, seed], k, heuristic, config, seed,
-                        tie_policy=spec.tie_policy)
-                    if heuristic not in READS_OBJECTIVE and config is not spec.objectives[-1]:
-                        shared[order, seed, heuristic] = run
-                    snap, stats = run
-                    r = evaluate_run(g, name, snap, config, order, heuristic, seed,
-                                     stats.runtime_ms, stats.threshold_violations)
-                    results.append(r)
-                    rows.append(result_to_row(r))
-                except Exception as ex:
-                    rows.append(error_row(name, k, config.gamma, config.alpha, config.nu,
-                                          order, heuristic, seed,
-                                          f"{type(ex).__name__}: {ex}"))
-    rows.extend(aggregate_rows(results))
+        kis = [[pair] for pair in ks] if params.get("k") == MATCH else [ks]
+        sis = [seeds] if kind == "path" else [[pair] for pair in seeds]
+        for part in itertools.product(kis, sis):
+            _run_instance(spec, gi, (kind, params, text), *part, cells)
+    runs = [cells[key] for key in sorted(cells)]
+    results = [r for _, r in runs if r is not None]
     with open(spec.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        w.writerows(rows)
+        w.writerows([row for row, _ in runs] + aggregate_rows(results))
     return results
+
+
+def _run_instance(spec: BenchSpec, gi: int, directive: tuple, kis, sis, cells: dict) -> None:
+    """
+    Runs on one instance of graph directive gi, built (or failing to build) once
+    for the (index, value) pairs kis of k and sis of seeds it covers: every k and
+    seed for a path, one seed for a fixed-k generator, one (k, seed) for k=match.
+    They go by seed, order (one read-only arrival sequence), k, heuristic and
+    objective; each lands in cells at its contract position as (CSV row,
+    RunResult or None). A rule that reads no objective setting is partitioned
+    once, at the first objective whose run succeeds, and that run is evaluated,
+    runtime_ms and threshold_violations included, for each later objective.
+    """
+    try:
+        g, name = _instance(*directive, kis[0][1], sis[0][1], spec.lcc)
+    except Exception as ex:  # every run on it fails alike
+        g, name, failed = None, spec.graphs[gi], ex
+    for si, seed in sis:
+        for ri, order in enumerate(spec.order_list):
+            plan = None if g is None else make_stream(g, order, seed)
+            for (ki, k), (hi, heuristic) in itertools.product(kis, enumerate(spec.heuristic_list)):
+                run = None
+                for oi, config in enumerate(spec.objectives):
+                    try:
+                        if g is None:
+                            raise failed
+                        # a config the run would fail to resolve fails alike in evaluate_run
+                        if run is None or heuristic in READS_OBJECTIVE:
+                            run = partition_stream(g, plan, k, heuristic, config, seed,
+                                                   tie_policy=spec.tie_policy)
+                        snap, stats = run
+                        r = evaluate_run(g, name, snap, config, order, heuristic, seed,
+                                         stats.runtime_ms, stats.threshold_violations)
+                        cells[gi, ki, oi, ri, hi, si] = result_to_row(r), r
+                    except Exception as ex:
+                        cells[gi, ki, oi, ri, hi, si] = error_row(
+                            name, k, config.gamma, config.alpha, config.nu, order, heuristic,
+                            seed, f"{type(ex).__name__}: {ex}"), None
 
 
 def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:

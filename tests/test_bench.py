@@ -17,9 +17,10 @@ from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              write_assignment)
 from streamcut.generators import HpParams, generate_hp
 from streamcut.graph import from_edges, load_edge_list, save_edge_list
-from streamcut.metrics import CSV_COLUMNS, aggregate_rows, evaluate_run, result_to_row
+from streamcut.metrics import (CSV_COLUMNS, aggregate_rows, error_row, evaluate_run,
+                               result_to_row)
 from streamcut.objective import ObjectiveConfig
-from streamcut.partitioner import HEURISTICS
+from streamcut.partitioner import HEURISTICS, partition_stream
 from streamcut.stream import make_stream
 from conftest import graph_from_pairs
 
@@ -111,11 +112,14 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = {heuristic}\n
     ({"extra": "order = random bfs random"}, "repeated order value 'random'"),
     ({"heuristic": "dg ldg dg"}, "repeated heuristic value 'dg'"),
     ({"seeds": "1 1"}, "repeated seeds value 1"),
+    ({"extra": "graph = hp:n=20,k=2,p=0.5,q=0.1"},
+     "repeated graph value 'hp:n=20,k=2,p=0.5,q=0.1'"),
+    ({"extra": "graph = hp:n=20,k=2,p=.5,q=0.1"}, "repeated graph value 'hp:n=20,k=2,p=.5,q=0.1'"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
         "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
         "cl_avg_degree", "k_repeat", "gamma_repeat", "order_repeat", "heuristic_repeat",
-        "seeds_repeat"])
+        "seeds_repeat", "graph_repeat", "graph_repeat_typed"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):
@@ -262,29 +266,49 @@ def test_bench_shares_one_stream_per_graph_order_and_seed(tmp_path, monkeypatch)
     assert sorted(made) == sorted([(o, s) for o in ("random", "bfs") for s in (1, 2)] * 3)
 
 
-def test_bench_frees_k_match_instances_after_their_k(tmp_path, monkeypatch):
-    """A k=match instance is dropped once its k is done, not kept to the end."""
+def track_instances(monkeypatch):
+    """
+    (built, alive): the (k, seed) and a weak reference of each hp instance that
+    bench builds, and per run k the most of them alive at a partition_stream call.
+    """
     built, alive = [], {}
     real_hp, real_partition = bench_mod.generate_hp, bench_mod.partition_stream
 
     def tracked_hp(params):
         g, labels = real_hp(params)
-        built.append(weakref.ref(g))
+        built.append((params.k, params.seed, weakref.ref(g)))
         return g, labels
 
     def counting(g, plan, k, *args, **kwargs):
         gc.collect()
-        alive[k] = max(alive.get(k, 0), sum(ref() is not None for ref in built))
+        alive[k] = max(alive.get(k, 0), sum(ref() is not None for _, _, ref in built))
         return real_partition(g, plan, k, *args, **kwargs)
 
     monkeypatch.setattr(bench_mod, "generate_hp", tracked_hp)
     monkeypatch.setattr(bench_mod, "partition_stream", counting)
+    return built, alive
+
+
+def test_bench_frees_k_match_instances_after_their_k(tmp_path, monkeypatch):
+    """A k=match instance is dropped once its (k, seed) runs are done, not kept to the end."""
+    built, alive = track_instances(monkeypatch)
     p = tmp_path / "spec.txt"
     p.write_text("graph = hp:n=60,k=match,p=0.6,q=0.05\nk = 2 3\nseeds = 1 2\n"
                  f"heuristic = fennel ldg\nout = {tmp_path / 'res.csv'}\n")
     assert len(run_bench(parse_bench_spec(p))) == 8
     assert len(built) == 4
-    assert alive == {2: 2, 3: 2}
+    assert alive == {2: 1, 3: 1}
+
+
+def test_bench_builds_a_fixed_k_instance_once_per_seed(tmp_path, monkeypatch):
+    """A fixed-k generator's instance serves every k of its seed and is dropped after it."""
+    built, alive = track_instances(monkeypatch)
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = hp:n=60,k=2,p=0.6,q=0.05\nk = 2 3\nseeds = 1 2\n"
+                 f"heuristic = fennel ldg\nout = {tmp_path / 'res.csv'}\n")
+    assert len(run_bench(parse_bench_spec(p))) == 8
+    assert [(k, seed) for k, seed, _ in built] == [(2, 1), (2, 2)]
+    assert alive == {2: 1, 3: 1}
 
 
 def test_bench_partitions_each_distinct_run_once(tmp_path, monkeypatch):
@@ -321,15 +345,15 @@ def test_bench_partitions_each_distinct_run_once(tmp_path, monkeypatch):
     assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
 
 
-# kept: the previous row's snapshot, and with two gammas the first objective's runs of
-# the 9 rules outside READS_OBJECTIVE x 2 orders x 2 seeds
-@pytest.mark.parametrize("gammas, kept", [("1.5", 1), ("1 1.5", 9 * 2 * 2 + 1)])
-def test_bench_keeps_shared_runs_only_for_a_later_gamma(tmp_path, monkeypatch, gammas, kept):
-    """A one-gamma spec keeps no snapshot past its row, and no run outlives its k."""
-    made, alive, real = [], {}, bench_mod.partition_stream
+@pytest.mark.parametrize("gammas", ["1.5", "1 1.5"])
+def test_bench_keeps_no_snapshot_past_its_row(tmp_path, monkeypatch, gammas):
+    """At each partition_stream call only the previous row's snapshot may be alive."""
+    made, alive, older, real = [], {}, [], bench_mod.partition_stream
 
     def tracked(g, plan, k, *args, **kwargs):
         gc.collect()
+        # asserted after the run: an assert in here would only become an error row
+        older.append(sum(ref() is not None for ref in made[:-1]))
         alive.setdefault(k, []).append(sum(ref() is not None for ref in made))
         snap, stats = real(g, plan, k, *args, **kwargs)
         made.append(weakref.ref(snap))
@@ -340,10 +364,48 @@ def test_bench_keeps_shared_runs_only_for_a_later_gamma(tmp_path, monkeypatch, g
     p.write_text(f"graph = hp:n=30,k=2,p=0.5,q=0.1\nk = 2 3\ngamma = {gammas}\n"
                  f"order = random bfs\nheuristic = {' '.join(HEURISTICS)}\nseeds = 1 2\n"
                  f"out = {tmp_path / 'res.csv'}\n")
-    run_bench(parse_bench_spec(p))
-    # the previous row's snapshot is still bound when the next run starts
+    assert len(run_bench(parse_bench_spec(p))) == 2 * len(gammas.split()) * 2 * len(HEURISTICS) * 2
+    assert not any(older)
+    # one instance per seed serves both k, so k = 3 starts with k = 2's last snapshot
     assert {k: (counts[0], max(counts)) for k, counts in alive.items()} == {
-        2: (0, kept), 3: (1, kept)}
+        2: (0, 1), 3: (1, 1)}
+
+
+def test_bench_retries_a_shared_run_that_failed(tmp_path):
+    """
+    A rule that reads no objective is partitioned again under a later gamma when
+    its run under an earlier one failed: gamma = 1000 fails to resolve, gamma = 1
+    runs. Every row equals its own partition_stream + evaluate_run, or its error row.
+    """
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = hp:n=40,k=2,p=0.5,q=0.1\nk = 2 3\ngamma = 1000 1\n"
+                 "order = random bfs\nheuristic = fennel ldg hash t\nseeds = 1 2\n"
+                 f"out = {out}\n")
+    spec = parse_bench_spec(p)
+    run_bench(spec)
+
+    ref, results = [], []
+    for k, config, order, heuristic, seed in itertools.product(
+            spec.k_list, spec.objectives, spec.order_list, spec.heuristic_list, spec.seeds):
+        g, _ = generate_hp(HpParams(40, 2, 0.5, 0.1, seed=seed))
+        name = "hp(n=40,k=2,p=0.5,q=0.1)"
+        try:
+            snap, stats = partition_stream(g, make_stream(g, order, seed), k, heuristic,
+                                           config, seed)
+            results.append(evaluate_run(g, name, snap, config, order, heuristic, seed,
+                                        stats.runtime_ms, stats.threshold_violations))
+            ref.append(result_to_row(results[-1]))
+        except OverflowError as ex:
+            ref.append(error_row(name, k, config.gamma, config.alpha, config.nu, order,
+                                 heuristic, seed, f"{type(ex).__name__}: {ex}"))
+    ref = [CSV_COLUMNS] + ref + aggregate_rows(results)
+    rt = CSV_COLUMNS.index("runtime_ms")
+    rows = read_csv(out)
+    assert [r[:rt] + r[rt + 1:] for r in rows] == [r[:rt] + r[rt + 1:] for r in ref]
+    runs = [dict(zip(CSV_COLUMNS, r)) for r in rows[1:]]
+    assert {(r["gamma"], bool(r["error"])) for r in runs
+            if r["heuristic"] == "ldg" and r["seed"].isdigit()} == {("1000", True), ("1", False)}
 
 
 # CSV rows of test_bench_csv_names_and_values without runtime_ms; a change
