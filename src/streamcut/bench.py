@@ -10,9 +10,9 @@ import numpy as np
 
 from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import Graph, load_edge_list
-from .metrics import (CSV_COLUMNS, RunResult, compute_lambda, compute_rho,
-                      aggregate_rows, error_row, evaluate_run, result_to_row)
-from .objective import AUTO, ObjectiveConfig, build_snapshot, eval_f, eval_g
+from .metrics import (CSV_COLUMNS, RunResult, aggregate_rows, error_row, evaluate_run,
+                      measures, result_to_row)
+from .objective import AUTO, ObjectiveConfig, build_snapshot
 from .partitioner import HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, partition_stream
 from .stream import ORDER_KINDS, make_stream
 
@@ -322,12 +322,5 @@ def read_assignment(g: Graph, path, k: int) -> np.ndarray:
 
 def eval_assignment(g: Graph, path, k: int, config: ObjectiveConfig):
     """Recompute lambda, rho, f, g for a stored assignment."""
-    assignment = read_assignment(g, path, k)
-    snap = build_snapshot(g, assignment, k)
-    config = config.resolve(g, k)
-    return {
-        "lambda": compute_lambda(g, snap),
-        "rho": compute_rho(snap, g.n, k),
-        "f": eval_f(snap, config),
-        "g": eval_g(snap, config),
-    }
+    snap = build_snapshot(g, read_assignment(g, path, k), k)
+    return measures(g, snap, config.resolve(g, k))

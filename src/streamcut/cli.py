@@ -9,8 +9,8 @@ from functools import partial
 from . import bench as bench_mod
 from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import load_edge_list, save_edge_list
-from .metrics import compute_lambda, compute_rho
-from .objective import MARGINAL_MODES, SIZE_MODES, ObjectiveConfig, eval_f, eval_g
+from .metrics import measures, render
+from .objective import MARGINAL_MODES, SIZE_MODES, ObjectiveConfig
 from .oracle import brute_force_optimal, brute_force_pair_optimal
 from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
 from .sdp import SdpProblem, approximation_ratio_bound, round_hyperplanes, solve_sdp
@@ -65,12 +65,10 @@ def cmd_partition(args) -> int:
     plan = make_stream(g, args.order, args.seed)
     snap, stats = partition_stream(g, plan, args.k, args.heuristic, config,
                                    args.seed, tie_policy=args.tie_policy)
-    lam = compute_lambda(g, snap)
-    rho = compute_rho(snap, g.n, args.k)
-    print(f"n={g.n} m={g.m} k={args.k} heuristic={args.heuristic} order={args.order} "
-          f"lambda={lam:.6f} rho={rho:.6f} f={eval_f(snap, config):.6f} "
-          f"g={eval_g(snap, config):.6f} runtime_ms={stats.runtime_ms:.3f} "
-          f"threshold_violations={stats.threshold_violations}")
+    print(render({"n": g.n, "m": g.m, "k": args.k, "heuristic": args.heuristic,
+                  "order": args.order, **measures(g, snap, config),
+                  "runtime_ms": stats.runtime_ms,
+                  "threshold_violations": stats.threshold_violations}))
     if args.out:
         bench_mod.write_assignment(g, snap.assignment, args.out)
     return 0
@@ -96,9 +94,8 @@ def cmd_generate(args) -> int:
 def cmd_eval(args) -> int:
     config = _config(args)
     g = _load(args)
-    metrics = bench_mod.eval_assignment(g, args.assignment, args.k, config)
-    print(f"n={g.n} m={g.m} k={args.k} lambda={metrics['lambda']:.6f} "
-          f"rho={metrics['rho']:.6f} f={metrics['f']:.6f} g={metrics['g']:.6f}")
+    print(render({"n": g.n, "m": g.m, "k": args.k,
+                  **bench_mod.eval_assignment(g, args.assignment, args.k, config)}))
     return 0
 
 

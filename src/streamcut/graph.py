@@ -17,7 +17,6 @@ _PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings the fallback reader 
 _HASH_AFTER_DATA = re.compile(
     rb"#[ \t\x0b\x0c\x1c-\x1f]*[^ \t\x0b\x0c\x1c-\x1f#\r\n][^#\r\n]*(?:[\r\n]|\Z)")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names numpy's loadtxt would decompress
-_LINE = re.compile(rb"[^\r\n]*")
 _UNDECODED = re.compile("[\udc80-\udcff]")  # bytes the surrogateescape decoder kept
 _INT64_MAX = np.iinfo(np.int64).max
 SPAN = 1 << 14  # adjacency entries one span of rows, block of arrivals or gather may hold
@@ -92,6 +91,14 @@ def spans(weights: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weights[lo] + SPAN, "right")))
         yield lo, hi
         lo = hi
+
+
+def gather(g: Graph, vertices: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The adjacency rows of vertices, whose degrees are lens, one after another."""
+    ends = np.cumsum(lens)
+    entries = (g.indptr[vertices] - ends + lens).repeat(lens)
+    entries += np.arange(len(entries))
+    return g.indices[entries]
 
 
 def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
@@ -179,46 +186,66 @@ def restrict_to_lcc(g: Graph) -> Graph:
                  indices=indices, id_map=g.id_map[keep])
 
 
+def _numpy_may_parse(data: bytes) -> bool:
+    """Whether np.loadtxt(comments="#") reads data as the line scan would: data is
+    ASCII, with only whitespace before each line's first '#'."""
+    if not data.isascii():
+        return False
+    last = data.rfind(b"#")
+    return last < 0 or not _HASH_AFTER_DATA.search(data[last::-1])  # backwards from it
+
+
+def _numpy_rows(source) -> np.ndarray | None:
+    """(E, 2) int64 rows of source (a path or lines) from one np.loadtxt call, or None where
+    the line scan must decide (not two columns of integers in [0, 2**63))."""
+    with warnings.catch_warnings():  # a file without rows is the caller's EmptyGraphError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    return rows if rows.shape[1] == 2 and not (rows < 0).any() else None
+
+
+def _name_undecodable(path, lines: list[str], lineno: int) -> None:
+    """Raise EdgeListParseError naming the first of lines, the first being line lineno,
+    with a byte that is not UTF-8 (decoded to a lone surrogate); return if none has."""
+    for lineno, line in enumerate(lines, start=lineno):
+        if _UNDECODED.search(line):
+            raise EdgeListParseError(path, lineno, line.rstrip("\n").encode(
+                errors="surrogateescape").decode(errors="backslashreplace"))
+
+
+def _line_blocks(path):
+    """(lines, number of the first) per block of the file, bytes not UTF-8 as lone surrogates."""
+    lineno = 1
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := fh.readlines(_PARSE_BLOCK_CHARS):
+            yield lines, lineno
+            lineno += len(lines)
+
+
 def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     """
-    (E, 2) int64 rows of a block of lines, the first of which is line
-    ``lineno``. numpy's C text reader converts the block at once, after
-    whole-line comments are dropped; a block it rejects (a token count
-    other than two, a non-integer, a label beyond int64), one with a
-    negative label and one with a non-ASCII character (numpy 2.4 reads
-    U+01FE then "1" as 4621) are read line by line to name the first bad
-    row. A line holding a byte that is not UTF-8 (decoded to a lone
-    surrogate) is named first.
+    (E, 2) int64 rows of a block of lines, the first being line ``lineno``:
+    from numpy's C reader where the one-pass rule lets it (not for non-ASCII:
+    numpy 2.4 reads U+01FE then "1" as 4621), else from a line scan that names
+    the first bad row. A line with a byte that is not UTF-8 is named first.
     """
-    body, text = lines, "".join(lines)
-    if not text.isascii() and _UNDECODED.search(text):  # comment lines too, as in a file
-        at = next(i for i, line in enumerate(lines) if _UNDECODED.search(line))
-        raise EdgeListParseError(path, lineno + at, lines[at].rstrip("\n").encode(
-            errors="surrogateescape").decode(errors="backslashreplace"))
-    if "#" in text:  # "1 2 # x" is kept, and rejected below (comments=None)
-        body = [s for s in lines if not s.lstrip().startswith("#")]
-        text = "".join(body)
-    if not text or text.isspace():  # loadtxt warns on a block with no data
-        return np.empty((0, 2), dtype=np.int64)
-    if text.isascii():
-        try:
-            rows = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if rows.shape[1] == 2 and not (rows < 0).any():
-                return rows
+    text = "".join(lines)
+    if not text.isascii():
+        _name_undecodable(path, lines, lineno)
+    elif _numpy_may_parse(text.encode()) and (rows := _numpy_rows(lines)) is not None:
+        return rows
     rows = []
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if len(parts) != 2:
-            raise EdgeListParseError(path, lineno, line.rstrip("\n"))
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, parts)  # ValueError unless two integer tokens
         except ValueError:
-            raise EdgeListParseError(path, lineno, line.rstrip("\n")) from None
+            u = v = -1
         if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
             raise EdgeListParseError(path, lineno, line.rstrip("\n"))
         rows.append((u, v))
@@ -228,11 +255,9 @@ def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
 def _file_rows(path) -> np.ndarray | None:
     """
     (E, 2) int64 rows of the whole file from one np.loadtxt call, or None
-    where the block reader must decide. The file's bytes are scanned
-    first: the one-call parse needs ASCII, with only whitespace before
-    each line's first '#', and a byte that is not UTF-8 raises
-    EdgeListParseError naming its line. A pipe can be read only once, so
-    only a regular file takes this path.
+    where the block reader must decide. A byte that is not UTF-8 raises
+    EdgeListParseError naming its line before any row is read. A pipe can
+    be read only once, so only a regular file takes this path.
     """
     if not os.path.isfile(path):
         return None
@@ -241,55 +266,34 @@ def _file_rows(path) -> np.ndarray | None:
     if not data.isascii():
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            head = data[:err.start]
-            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            line = _LINE.match(data, max(head.rfind(b"\n"), head.rfind(b"\r")) + 1)[0]
-            raise EdgeListParseError(path, lineno,
-                                     line.decode("utf-8", "backslashreplace")) from None
-        return None
-    last = data.rfind(b"#")
-    if last >= 0 and _HASH_AFTER_DATA.search(data[last::-1]):  # backwards from the last '#'
+        except UnicodeDecodeError:
+            for lines, lineno in _line_blocks(path):
+                _name_undecodable(path, lines, lineno)
+    if not _numpy_may_parse(data):
         return None
     del data
     path = os.fsdecode(os.path.abspath(path))  # numpy reads a str with a scheme as a URL
-    if path.endswith(_COMPRESSED):
-        return None
-    with warnings.catch_warnings():  # a file without rows is the caller's EmptyGraphError
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
-        except ValueError:
-            return None
-    return rows if rows.shape[1] == 2 and not (rows < 0).any() else None
+    return None if path.endswith(_COMPRESSED) else _numpy_rows(path)
 
 
 def load_edge_list(path, lcc: bool = True) -> Graph:
     """
-    Load a whitespace-separated "u v" edge list ('#' lines are comments)
-    in UTF-8.
+    Load a whitespace-separated "u v" edge list ('#' lines are comments) in
+    UTF-8. Multiple edges, self loops and edge directions are collapsed to a
+    simple undirected graph; with lcc=True (the default for file input) the
+    graph is restricted to its largest connected component.
 
-    Multiple edges, self loops and edge directions are collapsed to a
-    simple undirected graph; with lcc=True (the default for file input)
-    the graph is restricted to its largest connected component.
-
-    An ASCII regular file is parsed in one pass by numpy's C reader. A
-    file that pass rejects (or holds a negative label, a non-ASCII
-    character or a '#' after data) is read again, and a pipe is read, in
-    blocks of lines, whose line scan decides and names the first
-    malformed row in EdgeListParseError. A line that is not UTF-8 raises
-    EdgeListParseError too: in a regular file before any row is read, in
-    a pipe when the block reader comes to it.
+    An ASCII regular file is parsed in one pass by numpy's C reader. A file
+    that pass rejects (or holds a negative label, a non-ASCII character or a
+    '#' after data) is read again, and a pipe is read, in blocks of lines
+    (_block_rows), whose line scan names the first malformed row in
+    EdgeListParseError. A line that is not UTF-8 raises it too: in a regular
+    file before any row is read, in a pipe when the block reader comes to it.
     """
     edges = _file_rows(path)
     if edges is None:
-        blocks = [np.empty((0, 2), dtype=np.int64)]
-        lineno = 1
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            while lines := fh.readlines(_PARSE_BLOCK_CHARS):
-                blocks.append(_block_rows(path, lines, lineno))
-                lineno += len(lines)
-        edges = np.concatenate(blocks)
+        edges = np.concatenate([np.empty((0, 2), dtype=np.int64)]
+                               + [_block_rows(path, *block) for block in _line_blocks(path)])
     if len(edges) == 0:
         raise EmptyGraphError(f"{path}: no edges found")
     g = from_edges(edges)

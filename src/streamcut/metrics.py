@@ -1,7 +1,6 @@
-"""Evaluation measures (fraction of edges cut, normalized max load) and CSV rows."""
+"""Evaluation measures (cut fraction, normalized max load), CSV rows and key=value lines."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,64 +47,73 @@ def compute_rho(snap: PartitionSnapshot, n: int, k: int) -> float:
     return int(snap.cluster_vertex_counts.max()) * k / n
 
 
+def measures(g: Graph, snap: PartitionSnapshot, config: ObjectiveConfig) -> dict[str, float]:
+    """lambda, rho, f and g of a full snapshot under a resolved config."""
+    return {"lambda": compute_lambda(g, snap), "rho": compute_rho(snap, g.n, snap.k),
+            "f": eval_f(snap, config), "g": eval_g(snap, config)}
+
+
 def evaluate_run(g: Graph, graph_name: str, snap: PartitionSnapshot, config: ObjectiveConfig,
                  order: str, heuristic: str, seed: int, runtime_ms: float,
                  threshold_violations: int) -> RunResult:
     config = config.resolve(g, snap.k)
-    return RunResult(
-        graph=graph_name, n=g.n, m=g.m, k=snap.k, gamma=config.gamma,
-        alpha=config.alpha_value, nu=config.nu, order=order, heuristic=heuristic,
-        seed=seed, lam=compute_lambda(g, snap), rho=compute_rho(snap, g.n, snap.k),
-        f=eval_f(snap, config), g=eval_g(snap, config), runtime_ms=runtime_ms,
-        threshold_violations=threshold_violations)
+    return RunResult(graph_name, g.n, g.m, snap.k, config.gamma, config.alpha_value, config.nu,
+                     order, heuristic, seed, *measures(g, snap, config).values(), runtime_ms,
+                     threshold_violations)
 
 
-def _fmt(x: float, spec: str = "%.6f") -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return spec % x
+def _text(column: str, x) -> str:
+    """x as column prints it: a float by the column's printf spec, which writes inf, -inf
+    and nan as such; anything else by str."""
+    if not isinstance(x, float):
+        return str(x)
+    return {"n": "%g", "m": "%g", "gamma": "%g", "alpha": "%.10g", "nu": "%g",
+            "runtime_ms": "%.3f", "threshold_violations": "%.2f"}.get(column, "%.6f") % x
+
+
+def render(values: dict) -> str:
+    """The "key=value ..." line of values, in their order."""
+    return " ".join(f"{key}={_text(key, x)}" for key, x in values.items())
+
+
+def _row(values: dict) -> list[str]:
+    """The CSV row of values by column name; a column without a value (or None) is blank."""
+    return ["" if values.get(c) is None else _text(c, values[c]) for c in CSV_COLUMNS]
+
+
+def _by_column(r: RunResult) -> dict:
+    return dict(zip(CSV_COLUMNS, vars(r).values()))  # its fields are in column order
 
 
 def result_to_row(r: RunResult) -> list[str]:
-    return [r.graph, str(r.n), str(r.m), str(r.k), _fmt(r.gamma, "%g"),
-            _fmt(r.alpha, "%.10g"), _fmt(r.nu, "%g"), r.order, r.heuristic,
-            str(r.seed), _fmt(r.lam), _fmt(r.rho), _fmt(r.f), _fmt(r.g),
-            _fmt(r.runtime_ms, "%.3f"), str(r.threshold_violations), ""]
+    return _row(_by_column(r))
 
 
 def error_row(graph_name: str, k, gamma, alpha, nu, order: str, heuristic: str,
               seed, message: str) -> list[str]:
     """Row recording a failed run; metric columns left blank."""
-    return [graph_name, "", "", str(k), _fmt(gamma, "%g"),
-            alpha if isinstance(alpha, str) else _fmt(alpha, "%.10g"),
-            _fmt(nu, "%g"), order, heuristic, str(seed),
-            "", "", "", "", "", "", message]
+    return _row({"graph": graph_name, "k": k, "gamma": gamma, "alpha": alpha, "nu": nu,
+                 "order": order, "heuristic": heuristic, "seed": seed, "error": message})
 
 
 def aggregate_rows(results: list[RunResult]) -> list[list[str]]:
     """
     Mean and sample-std rows per (graph, k, gamma, nu, order, heuristic)
     group, across seeds, in first-seen group order. Std is 0 for
-    single-seed groups.
+    single-seed groups. Generated instances differ across seeds, so n and
+    m aggregate too: both rows show their mean, and the mean row alpha's.
     """
-    groups: dict[tuple, list[RunResult]] = {}
+    groups: dict[tuple, list[dict]] = {}
     for r in results:
-        groups.setdefault((r.graph, r.k, r.gamma, r.nu, r.order, r.heuristic), []).append(r)
+        groups.setdefault((r.graph, r.k, r.gamma, r.nu, r.order, r.heuristic),
+                          []).append(_by_column(r))
     rows = []
-    for (graph, k, gamma, nu, order, heuristic), rs in groups.items():
-        cols = {name: np.array([getattr(r, name) for r in rs], dtype=np.float64)
-                for name in ("lam", "rho", "f", "g", "runtime_ms", "threshold_violations")}
-        alpha_txt = _fmt(float(np.mean([r.alpha for r in rs])), "%.10g")
-        # generated instances differ across seeds, so n and m aggregate too
-        n_txt = _fmt(float(np.mean([r.n for r in rs])), "%g")
-        m_txt = _fmt(float(np.mean([r.m for r in rs])), "%g")
-        for stat in ("mean", "std"):
-            agg = {name: (v.mean() if stat == "mean"
-                          else (v.std(ddof=1) if len(v) > 1 else 0.0))
-                   for name, v in cols.items()}
-            rows.append([graph, n_txt, m_txt, str(k), _fmt(gamma, "%g"),
-                         alpha_txt if stat == "mean" else "", _fmt(nu, "%g"), order,
-                         heuristic, stat, _fmt(agg["lam"]), _fmt(agg["rho"]),
-                         _fmt(agg["f"]), _fmt(agg["g"]), _fmt(agg["runtime_ms"], "%.3f"),
-                         _fmt(agg["threshold_violations"], "%.2f"), ""])
+    for runs in groups.values():
+        spread = ("lambda", "rho", "f", "g", "runtime_ms", "threshold_violations")
+        cols = {c: np.array([run[c] for run in runs], dtype=np.float64)
+                for c in ("n", "m", "alpha", *spread)}
+        mean = {c: v.mean() for c, v in cols.items()}
+        std = {c: cols[c].std(ddof=1) if len(runs) > 1 else 0.0 for c in spread}
+        rows.append(_row({**runs[0], **mean, "seed": "mean"}))
+        rows.append(_row({**runs[0], **mean, "alpha": None, **std, "seed": "std"}))
     return rows

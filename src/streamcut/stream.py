@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, gather
 
 ORDER_KINDS = ("random", "bfs", "dfs")
 
@@ -66,11 +66,7 @@ def _bfs_order(g: Graph, rng: np.random.Generator) -> np.ndarray:
                 nb = g.neighbors(level[0])
                 level = nb[~visited[nb]]
                 continue
-            lens = degrees[level]
-            ends = np.cumsum(lens)
-            entries = (g.indptr[level] - ends + lens).repeat(lens)
-            entries += np.arange(len(entries))
-            nb = g.indices[entries]
+            nb = gather(g, level, degrees[level])
             nb = nb[~visited[nb]]
             first = np.unique(nb, return_index=True)[1]
             first.sort()

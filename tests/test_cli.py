@@ -52,22 +52,39 @@ def test_generate_cl(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
-def test_partition_eval_round_trip(tmp_path, capsys):
+def _measures(capsys, *argv) -> dict[str, str]:
+    """The lambda, rho, f and g tokens a successful command prints."""
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    tokens = dict(token.split("=", 1) for token in stdout.split())
+    return {key: tokens[key] for key in ("lambda", "rho", "f", "g")}
+
+
+def _round_trip(tmp_path, capsys, *flags):
+    """(partition's, eval's) printed measures of one assignment under the same flags."""
     graph = tmp_path / "g.txt"
     assign = tmp_path / "a.csv"
     run(capsys, "generate", "hp", "--n", "100", "--k", "2", "--p", "0.5",
         "--q", "0.05", "--seed", "3", "--out", str(graph))
-    code, stdout, _ = run(capsys, "partition", "--graph", str(graph),
-                          "--k", "2", "--heuristic", "fennel",
-                          "--order", "random", "--seed", "4",
-                          "--out", str(assign))
-    assert code == 0
-    assert "lambda=" in stdout and "rho=" in stdout
-    lam = float(stdout.split("lambda=")[1].split()[0])
-    code, stdout, _ = run(capsys, "eval", "--graph", str(graph),
-                          "--k", "2", "--assignment", str(assign))
-    assert code == 0
-    assert float(stdout.split("lambda=")[1].split()[0]) == lam
+    part = _measures(capsys, "partition", "--graph", str(graph), "--k", "2",
+                     "--heuristic", "fennel", "--order", "random", "--seed", "4",
+                     "--out", str(assign), *flags)
+    return part, _measures(capsys, "eval", "--graph", str(graph), "--k", "2",
+                           "--assignment", str(assign), *flags)
+
+
+def test_partition_eval_round_trip(tmp_path, capsys):
+    part, ev = _round_trip(tmp_path, capsys)
+    assert ev == part
+    assert all(float(x) < float("inf") for x in part.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x**250 overflows
+def test_partition_eval_round_trip_overflow(tmp_path, capsys):
+    """An objective that overflows prints f=inf g=-inf from both commands."""
+    part, ev = _round_trip(tmp_path, capsys, "--gamma", "250", "--alpha", "1e-300")
+    assert ev == part
+    assert (part["f"], part["g"]) == ("inf", "-inf")
 
 
 def test_partition_objective_flags(tmp_path, capsys):

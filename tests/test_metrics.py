@@ -68,6 +68,17 @@ def test_result_row_formatting():
     assert as_map["error"] == ""
 
 
+def test_infinite_objective_keeps_its_sign():
+    """f = inf, g = -inf (an overflowing cost) print with their signs in run and
+    aggregate rows, as partition prints them."""
+    r = make_result(f=math.inf, g=-math.inf)
+    as_map = dict(zip(CSV_COLUMNS, result_to_row(r)))
+    assert (as_map["f"], as_map["g"]) == ("inf", "-inf")
+    mean, std = (dict(zip(CSV_COLUMNS, row)) for row in aggregate_rows([r]))
+    assert (mean["f"], mean["g"]) == ("inf", "-inf")
+    assert (std["f"], std["g"]) == ("0.000000", "0.000000")
+
+
 def test_error_row_shape():
     row = error_row("g", 2, 1.5, "auto", math.inf, "random", "fennel", 3,
                     "boom")
