@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import partial
 
@@ -10,7 +9,7 @@ from . import bench as bench_mod
 from .generators import ClParams, HpParams, generate_cl, generate_hp
 from .graph import load_edge_list, save_edge_list
 from .metrics import measures, render
-from .objective import MARGINAL_MODES, SIZE_MODES, ObjectiveConfig
+from .objective import MARGINAL_MODES, SIZE_MODES, ObjectiveConfig, check_pair_alpha
 from .oracle import brute_force_optimal, brute_force_pair_optimal
 from .partitioner import HEURISTICS, TIE_POLICIES, partition_stream
 from .sdp import SdpProblem, approximation_ratio_bound, round_hyperplanes, solve_sdp
@@ -42,9 +41,7 @@ def _pair_alpha(alpha) -> float:
     """alpha of the pairwise cost family (oracle --pairwise, sdp): 0 keeps only the cut."""
     if alpha == "auto":
         raise ValueError("pairwise oracle needs an explicit --alpha")
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    return alpha
+    return check_pair_alpha(alpha)
 
 
 def _config(args) -> ObjectiveConfig:
@@ -142,18 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Streaming graph partitioning toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", help="one-pass streaming partition of a graph file")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    def graph_command(name, func, summary, objective=True, k_help=None):
+        """A subcommand that reads --graph and splits it into --k clusters."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--k", type=int, required=True, help=k_help)
+        p.add_argument("--keep-disconnected", action="store_true",
+                       help="skip largest-connected-component restriction")
+        if objective:
+            _add_objective_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = graph_command("partition", cmd_partition,
+                      "one-pass streaming partition of a graph file")
     p.add_argument("--heuristic", choices=HEURISTICS, default="fennel")
     p.add_argument("--order", choices=ORDER_KINDS, default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-policy", choices=TIE_POLICIES, default="lowest_index")
-    p.add_argument("--keep-disconnected", action="store_true",
-                   help="skip largest-connected-component restriction")
     p.add_argument("--out", help="assignment CSV (vertex,cluster; original labels)")
-    _add_objective_flags(p)
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("generate", help="synthetic graph generators")
     gsub = p.add_subparsers(dest="model", required=True)
@@ -175,33 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--out", required=True)
     cl.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", help="recompute metrics for a stored assignment")
-    p.add_argument("--graph", required=True)
+    p = graph_command("eval", cmd_eval, "recompute metrics for a stored assignment")
     p.add_argument("--assignment", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--keep-disconnected", action="store_true")
-    _add_objective_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("oracle", help="exhaustive optimum on a tiny graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = graph_command("oracle", cmd_oracle, "exhaustive optimum on a tiny graph")
     p.add_argument("--pairwise", action="store_true",
                    help="pairwise cost family (the relaxation's integral problem)")
-    p.add_argument("--keep-disconnected", action="store_true")
-    _add_objective_flags(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sdp", help="semidefinite relaxation + hyperplane rounding")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True, help="power of two >= 2")
+    p = graph_command("sdp", cmd_sdp, "semidefinite relaxation + hyperplane rounding",
+                      objective=False, k_help="power of two >= 2")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--keep-disconnected", action="store_true")
-    p.set_defaults(func=cmd_sdp)
 
     p = sub.add_parser("bench", help="run an experiment matrix from a spec file")
     p.add_argument("--spec", required=True)

@@ -58,6 +58,14 @@ class ObjectiveConfig:
         return float(self.alpha)
 
 
+def check_pair_alpha(alpha: float) -> float:
+    """alpha of the pairwise cost family alpha*C(x,2), the exact baselines'
+    integral problem: finite and >= 0 (0 keeps only the cut)."""
+    if not 0 <= alpha < math.inf:  # NaN fails every comparison
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return alpha
+
+
 def resolve_alpha(g: Graph, k: int, gamma: float) -> float:
     """Scaling rule alpha = m * k^(gamma-1) / n^gamma."""
     if g.n < 1:

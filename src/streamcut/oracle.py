@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .objective import ObjectiveConfig
+from .objective import ObjectiveConfig, check_pair_alpha, cost
 
 MAX_ASSIGNMENTS = 10 ** 8
 
@@ -24,11 +24,12 @@ class OracleResult:
     partitions_enumerated: int
 
 
-def _enumerate_min_f(g: Graph, k: int, batch_cost) -> tuple[np.ndarray, float, int]:
+def _optimum(g: Graph, k: int, batch_cost, shift: float) -> OracleResult:
     """
     Scan all labeled assignments with vertex 0 pinned to cluster 0,
-    minimizing batch_cost (vectorized over batches of assignments).
-    First minimizer in enumeration order wins, so results are stable.
+    minimizing f = batch_cost (vectorized over batches of assignments);
+    g = m - f and the shifted g = g + shift. First minimizer in
+    enumeration order wins, so results are stable.
     """
     n = g.n
     if k < 1:  # k=0 would enumerate nothing and return no assignment
@@ -51,15 +52,24 @@ def _enumerate_min_f(g: Graph, k: int, batch_cost) -> tuple[np.ndarray, float, i
         if fvals[i] < best_f:
             best_f = float(fvals[i])
             best_assignment = A[i].copy()
-    return best_assignment, best_f, total
+    best_g = g.m - best_f
+    return OracleResult(best_assignment, best_f, best_g, best_g + shift, total)
 
 
-def _cut_and_sizes(g: Graph, k: int, A: np.ndarray):
+def _cut_and_sizes(g: Graph, k: int, A: np.ndarray, interior: bool):
+    """Per row of A: the cut edges, and the k cluster sizes x, counted as
+    vertices or, if interior, as interior edges."""
+    rows = np.arange(len(A))
     cut = np.zeros(len(A), dtype=np.int64)
+    inside = np.zeros((len(A), k), dtype=np.int64)
     for u, v in g.edge_array():
-        cut += A[:, u] != A[:, v]
-    sizes = np.stack([(A == c).sum(axis=1) for c in range(k)], axis=1)
-    return cut, sizes
+        same = A[:, u] == A[:, v]
+        cut += ~same
+        if interior:
+            inside[rows[same], A[same, u]] += 1
+    if interior:
+        return cut, inside
+    return cut, np.stack([(A == c).sum(axis=1) for c in range(k)], axis=1)
 
 
 def brute_force_optimal(g: Graph, k: int, config: ObjectiveConfig) -> OracleResult:
@@ -69,30 +79,14 @@ def brute_force_optimal(g: Graph, k: int, config: ObjectiveConfig) -> OracleResu
     symmetry reduction). Guarded at k^n <= 1e8.
     """
     config = config.resolve(g, k)
-    a, gm = config.alpha_value, config.gamma
+    interior = config.size_mode == "interior_edge"
 
-    if config.size_mode == "vertex":
-        def batch_cost(A):
-            cut, sizes = _cut_and_sizes(g, k, A)
-            return cut + (a * sizes.astype(np.float64) ** gm).sum(axis=1)
-    else:
-        edges = g.edge_array()
+    def batch_cost(A):
+        cut, x = _cut_and_sizes(g, k, A, interior)
+        return cut + cost(config, x).sum(axis=1)
 
-        def batch_cost(A):
-            cut = np.zeros(len(A), dtype=np.int64)
-            internal = np.zeros((len(A), k), dtype=np.float64)
-            rows = np.arange(len(A))
-            for u, v in edges:
-                same = A[:, u] == A[:, v]
-                cut += ~same
-                internal[rows[same], A[same, u]] += 1.0
-            return cut + (a * internal ** gm).sum(axis=1)
-
-    assignment, best_f, total = _enumerate_min_f(g, k, batch_cost)
-    best_g = g.m - best_f
-    shift_base = g.n if config.size_mode == "vertex" else g.m
-    best_g_shifted = best_g + a * float(shift_base) ** gm
-    return OracleResult(assignment, best_f, best_g, best_g_shifted, total)
+    shift_base = g.m if interior else g.n
+    return _optimum(g, k, batch_cost, config.alpha_value * float(shift_base) ** config.gamma)
 
 
 def brute_force_pair_optimal(g: Graph, k: int, alpha: float) -> OracleResult:
@@ -103,15 +97,11 @@ def brute_force_pair_optimal(g: Graph, k: int, alpha: float) -> OracleResult:
     bounds; best_g_shifted = best_g + alpha*C(n,2) holds exactly here.
     alpha must be finite and >= 0 (0 keeps only the cut).
     """
-    if not 0 <= alpha < np.inf:  # NaN fails every comparison
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    check_pair_alpha(alpha)
 
     def batch_cost(A):
-        cut, sizes = _cut_and_sizes(g, k, A)
+        cut, sizes = _cut_and_sizes(g, k, A, interior=False)
         s = sizes.astype(np.float64)
         return cut + alpha * (s * (s - 1.0) / 2.0).sum(axis=1)
 
-    assignment, best_f, total = _enumerate_min_f(g, k, batch_cost)
-    best_g = g.m - best_f
-    best_g_shifted = best_g + alpha * g.n * (g.n - 1) / 2.0
-    return OracleResult(assignment, best_f, best_g, best_g_shifted, total)
+    return _optimum(g, k, batch_cost, alpha * g.n * (g.n - 1) / 2.0)

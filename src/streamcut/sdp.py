@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
+from .objective import check_pair_alpha
 
 MAX_GRAM_DIM = 60
 
@@ -18,8 +19,11 @@ class SdpProblem:
     s.t. y_ii = 1, y_ij >= 0, Y PSD."""
 
     n: int
-    edges: np.ndarray  # (m, 2)
+    edges: np.ndarray  # (m, 2) ints, each edge once
     alpha: float
+
+    def __post_init__(self):
+        check_pair_alpha(self.alpha)
 
     @classmethod
     def from_graph(cls, g: Graph, alpha: float) -> "SdpProblem":
@@ -29,7 +33,7 @@ class SdpProblem:
         """Evaluate the objective on a symmetric matrix y."""
         n = self.n
         off_sum = (y.sum() - np.trace(y)) / 2.0
-        edge_sum = y[self.edges[:, 0], self.edges[:, 1]].sum() if len(self.edges) else 0.0
+        edge_sum = y[self.edges[:, 0], self.edges[:, 1]].sum()
         return float(edge_sum + self.alpha * (n * (n - 1) / 2.0 - off_sum))
 
     def gradient(self) -> np.ndarray:
@@ -37,9 +41,8 @@ class SdpProblem:
         n = self.n
         grad = np.full((n, n), -self.alpha / 2.0)
         np.fill_diagonal(grad, 0.0)
-        for u, v in self.edges:
-            grad[u, v] += 0.5
-            grad[v, u] += 0.5
+        u, v = self.edges.T
+        np.add.at(grad, (np.r_[u, v], np.r_[v, u]), 0.5)
         return grad
 
 
@@ -103,14 +106,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     if n == 0:
         raise ValueError("empty problem")
     grad = problem.gradient()
-    scale = np.linalg.norm(grad) or 1.0
-    rho = 1.0
-    step = grad / (scale * rho)
+    step = grad / (np.linalg.norm(grad) or 1.0)
 
     z = np.eye(n)
-    u1 = np.zeros((n, n))
-    u2 = np.zeros((n, n))
-    u3 = np.zeros((n, n))
+    u1, u2, u3 = np.zeros((3, n, n))
     best_y, best_val = _clean(problem, z)
     converged = False
     it = 0
@@ -125,7 +124,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         u3 += x3 - z_new
         shift = float(np.abs(z_new - z).max())
         z = z_new
-        if it % 50 == 0 or shift < tol:
+        if it % 50 == 0 or shift < tol or it == max_iters:
             primal = max(float(np.abs(x - z).max()) for x in (x1, x2, x3))
             y, val = _clean(problem, z)
             if val > best_val:
@@ -133,10 +132,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
             if primal < tol and shift < tol:
                 converged = True
                 break
-
-    y, val = _clean(problem, z)
-    if val > best_val:
-        best_y, best_val = y, val
 
     w, q = np.linalg.eigh(best_y)
     w = np.maximum(w, 0.0)
@@ -168,15 +163,22 @@ def _require_power_of_two(k: int) -> int:
 
 
 def pair_shifted_value(n: int, edges: np.ndarray, assignment: np.ndarray,
-                       alpha: float) -> float:
+                       alpha: float) -> float | np.ndarray:
     """Shifted objective of an integral partition: internal edges plus
-    alpha times the number of cross-cluster vertex pairs."""
-    assignment = np.asarray(assignment)
-    internal = int((assignment[edges[:, 0]] == assignment[edges[:, 1]]).sum()) if len(edges) else 0
-    counts = np.bincount(assignment)
-    same_pairs = (counts * (counts - 1) // 2).sum()
-    cross_pairs = n * (n - 1) // 2 - same_pairs
-    return float(internal + alpha * cross_pairs)
+    alpha times the number of cross-cluster vertex pairs. An (n,)
+    assignment gives a float; an (n, T) batch gives its T values, column
+    by column."""
+    check_pair_alpha(alpha)
+    labels = np.asarray(assignment)
+    cols = labels[:, None] if labels.ndim == 1 else labels
+    trials = cols.shape[1]
+    internal = (cols[edges[:, 0]] == cols[edges[:, 1]]).sum(axis=0)
+    # bin label*T + t is (label, column t); a negative label stays negative
+    bins = (int(cols.max(initial=0)) + 1) * trials
+    counts = np.bincount((cols * trials + np.arange(trials)).ravel(), minlength=bins)
+    same_pairs = (counts * (counts - 1) // 2).reshape(-1, trials).sum(axis=0)
+    values = internal + alpha * (n * (n - 1) // 2 - same_pairs)
+    return float(values[0]) if labels.ndim == 1 else values
 
 
 def round_hyperplanes(sol: GramSolution, k: int, seed: int, trials: int,
@@ -197,16 +199,7 @@ def round_hyperplanes(sol: GramSolution, k: int, seed: int, trials: int,
     bits = signs.reshape(n, trials, t)
     weights = (1 << np.arange(t)).astype(np.int64)
     labels = (bits * weights).sum(axis=2)  # (n, trials)
-
-    if len(edges):
-        internal = (labels[edges[:, 0]] == labels[edges[:, 1]]).sum(axis=0)
-    else:
-        internal = np.zeros(trials, dtype=np.int64)
-    flat = (labels + k * np.arange(trials)[None, :]).ravel()
-    counts = np.bincount(flat, minlength=k * trials).reshape(trials, k)
-    same_pairs = (counts * (counts - 1) // 2).sum(axis=1)
-    cross_pairs = n * (n - 1) // 2 - same_pairs
-    values = internal + alpha * cross_pairs
+    values = pair_shifted_value(n, edges, labels, alpha)
     return RoundingResult(labels=labels, shifted_values=values,
                           mean_shifted=float(values.mean()))
 

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
+import math
 
 import pytest
 
-from streamcut.cli import main
+from streamcut.cli import build_parser, main
 from streamcut.generators import HpParams, generate_hp
 from streamcut.graph import load_edge_list, save_edge_list
 from conftest import graph_from_pairs
@@ -184,6 +186,34 @@ def test_pairwise_oracle_alpha_checked_before_the_graph_is_read(capsys):
                           "--pairwise")
     assert code == 1
     assert "explicit --alpha" in stderr
+
+
+_GRAPH_FLAGS = {"--graph": (None, True), "--k": (None, True),
+                "--keep-disconnected": (False, False)}
+_OBJECTIVE_FLAGS = {"--gamma": (1.5, False), "--alpha": ("auto", False),
+                    "--nu": (math.inf, False), "--size-mode": ("vertex", False),
+                    "--marginal-mode": ("derivative", False)}
+
+
+@pytest.mark.parametrize("name, options", [
+    ("partition", {**_GRAPH_FLAGS, **_OBJECTIVE_FLAGS,
+                   "--heuristic": ("fennel", False), "--order": ("random", False),
+                   "--seed": (0, False), "--tie-policy": ("lowest_index", False),
+                   "--out": (None, False)}),
+    ("eval", {**_GRAPH_FLAGS, **_OBJECTIVE_FLAGS, "--assignment": (None, True)}),
+    ("oracle", {**_GRAPH_FLAGS, **_OBJECTIVE_FLAGS, "--pairwise": (False, False)}),
+    ("sdp", {**_GRAPH_FLAGS, "--alpha": (None, True), "--trials": (10000, False),
+             "--seed": (0, False), "--tol": (1e-7, False),
+             "--max-iters": (20000, False)}),
+])
+def test_graph_subcommand_options(name, options):
+    """Each graph subcommand's option strings, defaults and required flags."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {opt: (action.default, action.required)
+           for action in sub.choices[name]._actions
+           for opt in action.option_strings if opt not in ("-h", "--help")}
+    assert got == options
 
 
 def test_partition_names_the_line_that_is_not_utf8(tmp_path, capsys):

@@ -50,6 +50,25 @@ def test_solver_on_random_graphs():
         assert sol.sdp_value >= opt.best_g_shifted - 1e-4
 
 
+def test_stopped_solve_keeps_its_final_iterate():
+    """A solve cut off between checkpoints still scores its last iterate."""
+    prob = SdpProblem.from_graph(random_gnp(9, 0.4, seed=0), alpha=0.5)
+    stopped = solve_sdp(prob, max_iters=73)
+    assert stopped.iterations == 73 and stopped.converged is False
+    assert stopped.feasibility_residual < 1e-9
+    assert stopped.sdp_value > solve_sdp(prob, max_iters=50).sdp_value
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+def test_pairwise_alpha_rejected(triangle, alpha):
+    """NaN or inf prices every partition at NaN or inf, and a negative
+    alpha leaves the nonnegative family the relaxation bounds."""
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        SdpProblem.from_graph(triangle, alpha)
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        pair_shifted_value(3, triangle.edge_array(), np.array([0, 0, 1]), alpha)
+
+
 def test_solver_size_guard():
     g = random_gnp(MAX_GRAM_DIM + 1, 0.1, seed=0)
     with pytest.raises(ValueError):
@@ -63,11 +82,17 @@ def test_rounding_labels_and_values(four_cycle):
                             edges=four_cycle.edge_array())
     assert res.labels.shape == (4, 200)
     assert res.labels.min() >= 0 and res.labels.max() < 4
-    # per-trial values recompute exactly
-    for t in (0, 57, 199):
-        v = pair_shifted_value(4, four_cycle.edge_array(),
-                               res.labels[:, t], alpha=0.4)
-        assert res.shifted_values[t] == pytest.approx(v, abs=1e-9)
+    # each trial's value is the relaxation's objective at its integral
+    # Gram matrix (1 within a cluster): internal edges + alpha*cross pairs
+    for t in range(200):
+        gram = (res.labels[:, t, None] == res.labels[None, :, t]).astype(float)
+        assert res.shifted_values[t] == pytest.approx(prob.objective_value(gram),
+                                                      abs=1e-9)
+    # a batch scores column by column
+    edges = four_cycle.edge_array()
+    assert np.array_equal(
+        pair_shifted_value(4, edges, res.labels, alpha=0.4),
+        [pair_shifted_value(4, edges, res.labels[:, t], alpha=0.4) for t in range(200)])
     assert res.mean_shifted == pytest.approx(res.shifted_values.mean())
     # no integral partition can beat the relaxation
     assert res.shifted_values.max() <= sol.sdp_value + 1e-4
