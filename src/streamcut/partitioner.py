@@ -204,6 +204,9 @@ class PartitionRun:
             base, nplaced, later, lstarts = block
         min_load = self.tie_policy == "min_load"
         starts, pu, pw = pairs or (None,) * 3
+        # no triangle at the block start and no pair in it: every cluster scores 0 or -0.0
+        # (t's load is zeros, lt/et's finite), so all k tie and the pick is by load alone
+        zero = (~tri.any(axis=1)).tolist() if pairs else ()
         cut = 0
         for j, v in enumerate(vertices):
             if block is None:
@@ -215,19 +218,22 @@ class PartitionRun:
                 counts = counts[1:]
             else:
                 counts, placed = base[j], nplaced[j]
-            signal = counts
-            if tri is not None:
-                signal = tri[j]
-                if starts[j + 1] > starts[j]:  # triangles closed inside the block
-                    cu = assignment[pu[starts[j]:starts[j + 1]]]
-                    hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
-                    signal = signal + np.bincount(cu[hit], minlength=k)
-            if surplus:  # interior-edge fennel: the charge depends on the counts
-                signal = delta_g(internal, config, signal)
-            scores = op(signal, charge)
-            c = int(scores.argmax())  # lowest index among ties
-            if min_load and scores[::-1].argmax() != k - 1 - c:  # tie: lowest least loaded
-                c = min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
+            if zero and zero[j] and starts[j] == starts[j + 1]:  # as the tie below would pick
+                c = sizes.index(min(sizes)) if min_load else 0
+            else:
+                signal = counts
+                if tri is not None:
+                    signal = tri[j]
+                    if starts[j + 1] > starts[j]:  # triangles closed inside the block
+                        cu = assignment[pu[starts[j]:starts[j + 1]]]
+                        hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
+                        signal = signal + np.bincount(cu[hit], minlength=k)
+                if surplus:  # interior-edge fennel: the charge depends on the counts
+                    signal = delta_g(internal, config, signal)
+                scores = op(signal, charge)
+                c = int(scores.argmax())  # lowest index among ties
+                if min_load and scores[::-1].argmax() != k - 1 - c:  # tie: lowest least loaded
+                    c = min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
             inside = int(counts.item(c))
             assignment[v] = c
             sizes[c] += 1
@@ -249,14 +255,16 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
     """
     Assign every vertex of the stream in one pass.
 
-    The plan must be a 1-D integer sequence of distinct ids in [0, n);
-    otherwise SnapshotError names the problem before any vertex is
+    The plan must be a 1-D integer sequence of distinct ids in [0, n), or
+    empty; otherwise SnapshotError names the problem before any vertex is
     assigned. Returns (snapshot, stats). Deterministic for identical
     (graph, plan, k, heuristic, config, seed, tie_policy); runtime covers
     the assignment loop only.
     """
     run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
     ids = np.asarray(plan.sequence)
+    if ids.shape == (0,):  # the empty stream, whatever dtype numpy gave [] (float64)
+        ids = ids.astype(np.int64)
     if ids.ndim != 1 or ids.dtype.kind not in "iu":  # bool is kind "b"
         raise SnapshotError(f"a stream is a 1-D sequence of integer vertex ids, "
                             f"not {ids.dtype} of shape {ids.shape}")

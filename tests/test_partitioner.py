@@ -268,6 +268,20 @@ def test_bad_plans_raise_before_any_vertex_is_assigned(heuristic, monkeypatch):
             partition_stream(g, StreamPlan("random", 8, plan), 4, heuristic, CFG, seed=8)
 
 
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_the_empty_stream_places_nothing(heuristic):
+    """The empty prefix is a legal stream whatever dtype numpy reads it as ([] is
+    float64): no vertex is placed and every counter stays 0."""
+    g = random_gnp(60, 0.2, seed=8)
+    for plan in ([], np.array([], dtype=np.int64), np.array([], dtype=bool)):
+        for tie in TIE_POLICIES:
+            snap, stats = partition_stream(g, StreamPlan("random", 8, plan), 4, heuristic, CFG,
+                                           seed=8, tie_policy=tie)
+            assert (snap.assigned_count, snap.cut_edges, stats.neighbor_scans) == (0, 0, 0)
+            assert (snap.assignment == -1).all()
+            assert not (snap.cluster_vertex_counts.any() or snap.cluster_internal_edges.any())
+
+
 def test_threshold_restricts_loads():
     g = random_gnp(120, 0.1, seed=6)
     plan = make_stream(g, "random", seed=6)
@@ -611,8 +625,13 @@ def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, or
                                               tie, size_mode, nu, seed):
     """The counters equal a rebuild, and every choice equals the reference step's."""
     g = random_gnp(n, p, seed=graph_seed)
-    plan = make_stream(g, order, seed)
     cfg = ObjectiveConfig(nu=nu, size_mode=size_mode)
+    check_against_reference(g, make_stream(g, order, seed), k, heuristic, cfg, seed, tie)
+
+
+def check_against_reference(g, plan, k, heuristic, cfg, seed, tie):
+    """A run over a whole order: every choice equals the reference step's, and the
+    counters equal a rebuild."""
     snap, _ = partition_stream(g, plan, k, heuristic, cfg, seed, tie_policy=tie)
     assert np.array_equal(snap.assignment,
                           reference_assignment(g, plan, k, heuristic, cfg, seed, tie))
@@ -621,6 +640,33 @@ def test_incremental_snapshot_matches_rebuild(n, p, graph_seed, k, heuristic, or
     assert snap.cut_edges == ref.cut_edges
     assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
     assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
+
+
+@pytest.mark.parametrize("span", [1, 8, 512])
+def test_few_triangles_match_the_reference(monkeypatch, span):
+    """On a tree plus at most three chords most arrivals close no triangle, so every
+    cluster scores 0 and the pick is by load alone; t/lt/et still match the reference
+    step and a rebuild, with the triangle blocks cut at each span (at 512 a block holds
+    several arrivals, so a charge left stale inside a block would show)."""
+    monkeypatch.setattr(graph, "SPAN", span)
+
+    @given(n=st.integers(2, 60), chords=st.integers(0, 3), graph_seed=st.integers(0, 10**6),
+           k=st.integers(1, 6), heuristic=st.sampled_from(["t", "lt", "et"]),
+           order=st.sampled_from(["random", "bfs", "dfs"]),
+           tie=st.sampled_from(TIE_POLICIES), seed=st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def check(n, chords, graph_seed, k, heuristic, order, tie, seed):
+        rng = np.random.default_rng(graph_seed)
+        parent = [0] + [int(rng.integers(i)) for i in range(1, n)]
+        pairs = list(zip(range(1, n), parent[1:]))
+        for a in rng.integers(n, size=chords).tolist():  # half to a's grandparent: a triangle
+            b = parent[parent[a]] if rng.random() < 0.5 else int(rng.integers(n))
+            if a != b:
+                pairs.append((a, b))
+        g = graph_from_pairs(pairs)
+        check_against_reference(g, make_stream(g, order, seed), k, heuristic, CFG, seed, tie)
+
+    check()
 
 
 @functools.cache
