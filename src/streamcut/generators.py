@@ -1,12 +1,13 @@
 """Synthetic graphs: hidden-partition and Chung-Lu power-law models."""
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _from_keys
 
 # uniforms drawn per block of rows (one row at least). It bounds memory only:
 # the draws are taken row-major, so any block size gives the same uniforms to
@@ -95,11 +96,7 @@ def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
     key = np.concatenate(upper + lower)
     del upper, lower  # free the per-block keys before the sort takes its buffer
     key.sort(kind="stable")
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    key -= np.repeat(np.arange(n) * n, np.diff(indptr))
-    key.setflags(write=False)
-    indptr.setflags(write=False)
-    return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=np.arange(n))
+    return _from_keys(key, n, np.arange(n))
 
 
 def generate_hp(params: HpParams):
@@ -125,12 +122,11 @@ def cl_weights(params: ClParams) -> np.ndarray:
 
     if params.i0 is not None:
         return weights(params.i0)
-    i0 = 1
-    w = weights(i0)
-    while w[0] > np.sqrt(target) and i0 < params.n:
-        i0 += 1
-        w = weights(i0)
-    return w
+    # w[0] falls as i0 grows: bisect for the smallest i0 in [1, n) with
+    # w[0] <= sqrt(W), or n if there is none
+    i0 = 1 + bisect.bisect_left(range(1, params.n), True,
+                                key=lambda i: weights(i)[0] <= np.sqrt(target))
+    return weights(i0)
 
 
 def generate_cl(params: ClParams) -> Graph:

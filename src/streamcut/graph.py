@@ -38,7 +38,7 @@ class EmptyGraphError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     """
-    Simple undirected graph, frozen after construction.
+    Simple undirected graph, frozen after construction (CSR arrays read-only).
 
     Adjacency is CSR-style: the neighbors of dense vertex v are
     ``indices[indptr[v]:indptr[v+1]]``, sorted ascending. ``id_map[v]``
@@ -52,6 +52,10 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     id_map: np.ndarray
+
+    def __post_init__(self):
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -116,9 +120,8 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     gives the same arrays.
 
     One sort of the 1-D key u*n + v over both directions of every edge
-    dedups the edges and yields the CSR arrays: the sorted distinct keys
-    divmod n are (row, column) in row-major order. u*n + v < n**2 fits
-    int64 for any n < 3e9.
+    dedups the edges and yields the CSR arrays (_from_keys). u*n + v < n**2
+    fits int64 for any n < 3e9.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if id_map is None:
@@ -152,15 +155,15 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
         raise EmptyGraphError("no edges remain after preprocessing")
     key = np.concatenate([u * n + v, v * n + u])
     key.sort()
-    key = key[_run_starts(key)]
-    m = len(key) // 2
+    return _from_keys(key[_run_starts(key)], n, id_map)
 
-    src, indices = np.divmod(key, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
-    return Graph(n=n, m=m, indptr=indptr, indices=indices, id_map=id_map)
+
+def _from_keys(key: np.ndarray, n: int, id_map: np.ndarray) -> Graph:
+    """The Graph whose adjacency is the sorted distinct int64 keys row*n + col of
+    both directions of every edge; key becomes its indices."""
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    key -= np.repeat(np.arange(n) * n, np.diff(indptr))
+    return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=id_map)
 
 
 def restrict_to_lcc(g: Graph) -> Graph:
@@ -180,8 +183,6 @@ def restrict_to_lcc(g: Graph) -> Graph:
     degrees = g.degrees[keep]
     indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
     return Graph(n=len(degrees), m=len(indices) // 2, indptr=indptr,
                  indices=indices, id_map=g.id_map[keep])
 
@@ -207,15 +208,6 @@ def _numpy_rows(source) -> np.ndarray | None:
     return rows if rows.shape[1] == 2 and not (rows < 0).any() else None
 
 
-def _name_undecodable(path, lines: list[str], lineno: int) -> None:
-    """Raise EdgeListParseError naming the first of lines, the first being line lineno,
-    with a byte that is not UTF-8 (decoded to a lone surrogate); return if none has."""
-    for lineno, line in enumerate(lines, start=lineno):
-        if _UNDECODED.search(line):
-            raise EdgeListParseError(path, lineno, line.rstrip("\n").encode(
-                errors="surrogateescape").decode(errors="backslashreplace"))
-
-
 def _line_blocks(path):
     """(lines, number of the first) per block of the file, bytes not UTF-8 as lone surrogates."""
     lineno = 1
@@ -230,24 +222,26 @@ def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
     (E, 2) int64 rows of a block of lines, the first being line ``lineno``:
     from numpy's C reader where the one-pass rule lets it (not for non-ASCII:
     numpy 2.4 reads U+01FE then "1" as 4621), else from a line scan that names
-    the first bad row. A line with a byte that is not UTF-8 is named first.
+    the first bad line: a malformed row, or any line with a byte that is not
+    UTF-8 (decoded to a lone surrogate, shown as a \\x escape).
     """
-    text = "".join(lines)
-    if not text.isascii():
-        _name_undecodable(path, lines, lineno)
-    elif _numpy_may_parse(text.encode()) and (rows := _numpy_rows(lines)) is not None:
+    text = "".join(lines)  # isascii first: encode() raises on a lone surrogate
+    if text.isascii() and _numpy_may_parse(text.encode()) \
+            and (rows := _numpy_rows(lines)) is not None:
         return rows
     rows = []
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split()
-        if not parts or parts[0].startswith("#"):
+        # a byte that is not UTF-8 fails int() in a row; a comment line is searched
+        if (not parts or parts[0].startswith("#")) and not _UNDECODED.search(line):
             continue
         try:
             u, v = map(int, parts)  # ValueError unless two integer tokens
         except ValueError:
             u = v = -1
         if not (0 <= u <= _INT64_MAX and 0 <= v <= _INT64_MAX):
-            raise EdgeListParseError(path, lineno, line.rstrip("\n"))
+            raise EdgeListParseError(path, lineno, line.rstrip("\n").encode(
+                errors="surrogateescape").decode(errors="backslashreplace"))
         rows.append((u, v))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
@@ -255,20 +249,14 @@ def _block_rows(path, lines: list[str], lineno: int) -> np.ndarray:
 def _file_rows(path) -> np.ndarray | None:
     """
     (E, 2) int64 rows of the whole file from one np.loadtxt call, or None
-    where the block reader must decide. A byte that is not UTF-8 raises
-    EdgeListParseError naming its line before any row is read. A pipe can
-    be read only once, so only a regular file takes this path.
+    where the block reader must decide (any non-ASCII file, so that a file
+    and a pipe name the same first bad line). A pipe can be read only once,
+    so only a regular file takes this path.
     """
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            for lines, lineno in _line_blocks(path):
-                _name_undecodable(path, lines, lineno)
     if not _numpy_may_parse(data):
         return None
     del data
@@ -286,9 +274,9 @@ def load_edge_list(path, lcc: bool = True) -> Graph:
     An ASCII regular file is parsed in one pass by numpy's C reader. A file
     that pass rejects (or holds a negative label, a non-ASCII character or a
     '#' after data) is read again, and a pipe is read, in blocks of lines
-    (_block_rows), whose line scan names the first malformed row in
-    EdgeListParseError. A line that is not UTF-8 raises it too: in a regular
-    file before any row is read, in a pipe when the block reader comes to it.
+    (_block_rows), whose line scan names the first bad line in
+    EdgeListParseError: a malformed row or a line that is not UTF-8, the same
+    line for a regular file and a pipe.
     """
     edges = _file_rows(path)
     if edges is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -192,6 +193,28 @@ def test_cl_weights_follow_power_law():
     i = np.arange(1000)
     ratio = w / (i + 5.0) ** (-1 / 2.0)
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
+
+
+def linear_scan_weights(params):
+    """Reference: the offset search the bisection replaced, i0 = 1, 2, ... until
+    max(w) <= sqrt(W), stopping at n."""
+    i0 = 1
+    w = cl_weights(dataclasses.replace(params, i0=i0))
+    while w[0] > np.sqrt(params.n * params.avg_degree) and i0 < params.n:
+        i0 += 1
+        w = cl_weights(dataclasses.replace(params, i0=i0))
+    return w
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 1000])
+def test_cl_weights_offset_equals_linear_scan(n):
+    """The bisected i0 is the linear scan's: the same weights, bit for bit."""
+    for delta in (1.01, 1.05, 1.2, 1.5, 2.1, 2.5, 3.0, 6.0):
+        for avg in (0.5, 1.0, 3.0, 10.0, 0.5 * n, 0.95 * n):
+            if avg < n:
+                params = ClParams(n=n, delta=delta, avg_degree=avg)
+                np.testing.assert_array_equal(cl_weights(params),
+                                              linear_scan_weights(params))
 
 
 def test_cl_deterministic():

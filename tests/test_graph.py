@@ -456,8 +456,11 @@ def load_from_pipe(tmp_path, content: bytes):
     result = {}
 
     def write():
-        with open(p, "wb") as fh:
-            fh.write(content)
+        try:
+            with open(p, "wb") as fh:
+                fh.write(content)
+        except BrokenPipeError:  # the load stops at a bad line and closes its end
+            pass
 
     def load():
         result["outcome"] = outcome(lambda: load_edge_list(p, lcc=False))
@@ -497,16 +500,36 @@ def test_a_pipe_names_the_line_that_is_not_utf8(tmp_path, content):
     (b"0 1\n\xff\xfe 4\n", 2, "\\xff\\xfe 4"),
     (b"0 1\r\n1 2\r\n2 \xc3\xa9\xff\r\n", 3, "2 \u00e9\\xff"),
     (b"0 1\r1 2\r\r\n# \xe9\r", 4, "# \\xe9"),
-    (b"1 x\n" + b"2 3\n" * 20_000 + b"4 \xc3", 20_002, "4 \\xc3"),
+    (b"1 x\n" + b"2 3\n" * 20_000 + b"4 \xc3", 1, "1 x"),
 ], ids=["second_line", "crlf_after_text", "bare_cr", "later_block_cut_short"])
 def test_edge_list_names_the_line_that_is_not_utf8(tmp_path, content, lineno, text):
-    """A byte that is not UTF-8 names its line, even after a malformed row."""
+    """The first bad line is named: a line with a byte that is not UTF-8 (its bytes
+    shown as \\x escapes), unless a malformed row comes before it."""
     p = tmp_path / "g.txt"
     p.write_bytes(content)
     with pytest.raises(EdgeListParseError) as err:
         load_edge_list(p)
     assert err.value.lineno == lineno
     assert str(err.value) == f"{p}:{lineno}: malformed edge line {text!r}"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("content,lineno", [
+    (b"0 1\n1 x\n" + b"2 3\n" * 20_000 + b"# \xe9\n", 2),
+    (b"0 1\n1 x\n# \xe9\n", 2),
+    (b"0 1\n\xff 2\n" + b"2 3\n" * 20_000 + b"1 x\n", 2),
+    (b"0 1\n1 2\n# caf\xe9\n2 3\n", 3),
+], ids=["malformed_then_later_block_not_utf8", "malformed_then_not_utf8",
+        "not_utf8_then_later_block_malformed", "not_utf8_comment_after_rows"])
+def test_a_file_and_a_pipe_name_the_same_first_bad_line(tmp_path, content, lineno):
+    """The same bytes as a regular file and as a pipe stop at the same first bad line,
+    malformed or not UTF-8."""
+    p = tmp_path / "g.txt"
+    p.write_bytes(content)
+    kind, message, got = outcome(lambda: load_edge_list(p, lcc=False))
+    assert (kind, got) == ("EdgeListParseError", lineno)
+    assert load_from_pipe(tmp_path, content) \
+        == (kind, message.replace(str(p), str(tmp_path / "g.fifo")), lineno)
 
 
 def test_edge_list_accepts_int_syntax_and_largest_label(tmp_path):
