@@ -117,24 +117,27 @@ def cl_weights(params: ClParams) -> np.ndarray:
     target = params.n * params.avg_degree
 
     def weights(i0: int) -> np.ndarray:
-        base = (np.arange(params.n, dtype=np.float64) + i0) ** exponent
-        return base * (target / base.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN if the sum underflows
+            base = (np.arange(params.n, dtype=np.float64) + i0) ** exponent
+            return base * (target / base.sum())
 
-    if params.i0 is not None:
-        return weights(params.i0)
-    # w[0] falls as i0 grows: bisect for the smallest i0 in [1, n) with
-    # w[0] <= sqrt(W), or n if there is none
-    i0 = 1 + bisect.bisect_left(range(1, params.n), True,
-                                key=lambda i: weights(i)[0] <= np.sqrt(target))
-    return weights(i0)
+    i0 = params.i0
+    if i0 is None:
+        # w[0] falls as i0 grows: bisect for the smallest i0 in [1, n) with
+        # w[0] <= sqrt(W), or n if there is none
+        i0 = 1 + bisect.bisect_left(range(1, params.n), True,
+                                    key=lambda i: weights(i)[0] <= np.sqrt(target))
+    w = weights(i0)
+    if not np.isfinite(w).all():
+        raise ValueError(f"delta={params.delta} is too close to 1: the weights "
+                         f"(i + {i0}) ** (-1/(delta-1)) underflow")
+    return w
 
 
 def generate_cl(params: ClParams) -> Graph:
     """Sample CL(n, delta) with pair probability min(1, w_i*w_j/W)."""
     w = cl_weights(params)
     total = w.sum()
-    if total <= 0:
-        raise ValueError("degenerate weight sequence")
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
     # no min(1, .): a uniform u < 1 is below w_i*w_j/W exactly when it is

@@ -166,15 +166,21 @@ def _from_keys(key: np.ndarray, n: int, id_map: np.ndarray) -> Graph:
     return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=id_map)
 
 
+def components(g: Graph) -> tuple[int, np.ndarray]:
+    """(count, label of each vertex) of g's connected components: scipy's strong components
+    of the symmetric rows, found without the transpose its undirected pass adds."""
+    adj = csr_matrix((np.broadcast_to(1.0, len(g.indices)), g.indices, g.indptr),
+                     shape=(g.n, g.n))
+    return connected_components(adj, directed=True, connection="strong")
+
+
 def restrict_to_lcc(g: Graph) -> Graph:
     """
     Largest connected component, relabeled densely; id_map composed. Its
     CSR rows are kept: no edge leaves a component and the renumbering
     keeps order, so each row stays sorted.
     """
-    # float64 weights: connected_components would copy any other dtype to it
-    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
-    ncomp, comp = connected_components(adj, directed=False)
+    ncomp, comp = components(g)
     if ncomp == 1:
         return g
     keep = comp == np.argmax(np.bincount(comp, minlength=ncomp))

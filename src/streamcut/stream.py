@@ -5,8 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
-from .graph import Graph, gather
+from .graph import Graph, components
 
 ORDER_KINDS = ("random", "bfs", "dfs")
 
@@ -18,81 +20,68 @@ class StreamPlan:
     sequence: np.ndarray  # distinct ids in [0, n); a prefix of an order is a legal stream
 
 
-class _Restarts:
+def _linked(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    Restart vertices of a traversal that writes its order into ``seq`` and
-    marks it in ``visited``. A restart makes the draw a full scan would
-    make, the ``rng.integers(#unvisited)``-th unvisited vertex in index
-    order, in O(sqrt(n)): unvisited vertices are counted per block of
-    isqrt(n) vertices, a cumsum finds the block, a scan of it the vertex.
+    Rows of one or two entries with the same DFS preorder: row v becomes
+    [n + indptr[v]] and entry j node n + j with the row [indices[j], n + j + 1],
+    where a link past the row's end goes back to v (so does an empty row's head).
+    scipy's DFS rescans a row from its start on each return to the vertex: O(d²)
+    at a vertex with d children on the given rows, O(d) on these.
     """
+    n, nnz, dtype = len(indptr) - 1, len(indices), indices.dtype
+    full = np.flatnonzero(indptr[1:] > indptr[:-1])
+    rows = np.empty(n + 2 * nnz, dtype=dtype)
+    rows[:n] = np.arange(n)
+    rows[full] = n + indptr[full]
+    pairs = rows[n:].reshape(nnz, 2)
+    pairs[:, 0] = indices
+    pairs[:, 1] = np.arange(n + 1, n + nnz + 1, dtype=dtype)
+    pairs[indptr[full + 1] - 1, 1] = full
+    return np.concatenate([np.arange(n), np.arange(n, n + 2 * nnz + 1, 2)], dtype=dtype), rows
 
-    def __init__(self, seq: np.ndarray, visited: np.ndarray):
-        self.seq, self.visited, self.done = seq, visited, 0
-        self.width = max(1, math.isqrt(len(seq)))
-        self.count = np.bincount(np.arange(len(seq)) // self.width)
 
-    def pick(self, rng: np.random.Generator, pos: int) -> int:
-        """A start vertex, once seq[:pos] is visited."""
-        done = self.seq[self.done:pos]  # the components finished since the last pick
-        self.count -= np.bincount(done // self.width, minlength=len(self.count))
-        self.done = pos
-        ends = np.cumsum(self.count)
+def _walk(g: Graph, rng: np.random.Generator, walk) -> np.ndarray:
+    """
+    walk (scipy's breadth_first_order or depth_first_order) over each component
+    from a start drawn as a full scan draws it: the rng.integers(#unvisited)-th
+    unvisited vertex in index order. Unvisited vertices are counted per block of
+    isqrt(n), so a cumsum finds the block and a scan of it the vertex.
+
+    One walk from extra vertex n, whose row lists the starts, covers every
+    component. A stable sort by start rank puts the components one after
+    another, each in the order of a walk from its start: BFS discovery in a
+    component depends on its vertices only, and DFS ends each before the next.
+    DFS walks the rows _linked makes, which keep it linear.
+    """
+    ncomp, comp = components(g)
+    members = np.argsort(comp, kind="stable")  # component c is members[bounds[c]:bounds[c + 1]]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(comp))])
+    width = max(1, math.isqrt(g.n))
+    count = np.bincount(np.arange(g.n) // width)
+    visited = np.zeros(g.n, dtype=bool)
+    starts = []
+    for _ in range(ncomp):
+        ends = np.cumsum(count)
         r = int(rng.integers(int(ends[-1])))
         b = int(np.searchsorted(ends, r, side="right"))
-        r -= int(ends[b] - self.count[b])
-        lo = b * self.width
-        return lo + int(np.flatnonzero(~self.visited[lo:lo + self.width])[r])
-
-
-def _bfs_order(g: Graph, rng: np.random.Generator) -> np.ndarray:
-    """
-    One level at a time: the frontier's adjacency in frontier order, less
-    the visited vertices, first occurrences kept. That is the FIFO queue
-    over ascending neighbours, level by level.
-    """
-    seq = np.empty(g.n, dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    restarts = _Restarts(seq, visited)
-    degrees = g.degrees
-    pos = 0
-    while pos < g.n:
-        level = np.array([restarts.pick(rng, pos)])
-        while len(level):
-            seq[pos:pos + len(level)] = level
-            pos += len(level)
-            visited[level] = True
-            if len(level) == 1:  # one vertex's neighbours are distinct and ascending
-                nb = g.neighbors(level[0])
-                level = nb[~visited[nb]]
-                continue
-            nb = gather(g, level, degrees[level])
-            nb = nb[~visited[nb]]
-            first = np.unique(nb, return_index=True)[1]
-            first.sort()
-            level = nb[first]
-    return seq
-
-
-def _dfs_order(g: Graph, rng: np.random.Generator) -> np.ndarray:
-    seq = np.empty(g.n, dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    restarts = _Restarts(seq, visited)
-    pos = 0
-    while pos < g.n:
-        stack = [restarts.pick(rng, pos)]
-        while stack:
-            v = stack.pop()
-            if visited[v]:
-                continue
-            visited[v] = True
-            seq[pos] = v
-            pos += 1
-            # push reversed so the lowest-index neighbor is visited first
-            for u in g.neighbors(v)[::-1]:
-                if not visited[u]:
-                    stack.append(int(u))
-    return seq
+        lo = b * width
+        starts.append(lo + int(np.flatnonzero(~visited[lo:lo + width])[r - ends[b] + count[b]]))
+        c = comp[starts[-1]]
+        done = members[bounds[c]:bounds[c + 1]]
+        visited[done] = True
+        count -= np.bincount(done // width, minlength=len(count))
+    rank = np.argsort(comp[starts])  # of each component among the starts
+    size = len(g.indices) + ncomp  # int32 if csr_matrix casts to it, DFS's linked rows included
+    dtype = np.int32 if 2 * (g.n + size) < 2 ** 31 else np.int64
+    indices = np.concatenate([g.indices, starts], dtype=dtype)
+    indptr = np.append(g.indptr, size)
+    if walk is depth_first_order:
+        indptr, indices = _linked(indptr, indices)
+    shape = (len(indptr) - 1,) * 2
+    adj = csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr), shape=shape)
+    order = walk(adj, g.n, return_predecessors=False)
+    order = order[order < g.n]
+    return order[np.argsort(rank[comp[order]], kind="stable")].astype(np.int64)
 
 
 def make_stream(g: Graph, order_kind: str, seed: int) -> StreamPlan:
@@ -110,9 +99,7 @@ def make_stream(g: Graph, order_kind: str, seed: int) -> StreamPlan:
     rng = np.random.Generator(np.random.PCG64(seed))
     if order_kind == "random":
         seq = rng.permutation(g.n)
-    elif order_kind == "bfs":
-        seq = _bfs_order(g, rng)
     else:
-        seq = _dfs_order(g, rng)
+        seq = _walk(g, rng, breadth_first_order if order_kind == "bfs" else depth_first_order)
     seq.setflags(write=False)
     return StreamPlan(order_kind=order_kind, seed=seed, sequence=seq)

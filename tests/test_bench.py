@@ -222,6 +222,19 @@ def test_bench_error_rows_keep_the_matrix_alive(tmp_path):
     assert as_map["lambda"] == ""
 
 
+def test_bench_cl_with_underflowing_weights_gets_an_error_row(tmp_path):
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = cl:n=300,delta=1.002\n"
+                 "graph = hp:n=30,k=2,p=0.6,q=0.1\n"
+                 "k = 2\nseeds = 1\nheuristic = dg\n"
+                 f"out = {out}\n")
+    results = run_bench(parse_bench_spec(p))
+    assert len(results) == 1  # the hp run survived
+    err = [dict(zip(CSV_COLUMNS, r)) for r in read_csv(out)[1:] if r[-1]]
+    assert len(err) == 1 and "delta=1.002 is too close to 1" in err[0]["error"]
+
+
 def test_bench_hp_k_match_tracks_run_k(tmp_path):
     out = tmp_path / "res.csv"
     p = tmp_path / "spec.txt"

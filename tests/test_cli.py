@@ -54,6 +54,15 @@ def test_generate_cl(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
+def test_generate_cl_refuses_delta_near_one(tmp_path, capsys):
+    """Weights that underflow exit 1 with an error naming delta and write no file."""
+    out = tmp_path / "cl.txt"
+    code, stdout, err = run(capsys, "generate", "cl", "--n", "2000", "--delta", "1.002",
+                            "--out", str(out))
+    assert code == 1 and "delta=1.002 is too close to 1" in err
+    assert stdout == "" and not out.exists()
+
+
 def _measures(capsys, *argv) -> dict[str, str]:
     """The lambda, rho, f and g tokens a successful command prints."""
     code, stdout, _ = run(capsys, *argv)

@@ -250,6 +250,17 @@ def test_cl_parameter_validation():
         ClParams(n=100, delta=2.5, avg_degree=0.0, seed=0)
 
 
+@pytest.mark.filterwarnings("error")  # numpy's underflow warnings included
+@pytest.mark.parametrize("params", [ClParams(3, 1.001, avg_degree=1), ClParams(2000, 1.002),
+                                    ClParams(50, 1.0005, i0=3)])
+def test_cl_refuses_weights_that_underflow(params):
+    """Near delta = 1, (i + i0) ** (-1/(delta-1)) is 0.0 for every i and the weights
+    NaN: an error naming delta, not an edgeless graph."""
+    for make in (cl_weights, generate_cl):
+        with pytest.raises(ValueError, match=rf"delta={params.delta} is too close to 1"):
+            make(params)
+
+
 def test_generators_have_no_self_loops_or_duplicates():
     g, _ = generate_hp(HpParams(n=120, k=2, p=0.5, q=0.2, seed=9))
     edges = g.edge_array()

@@ -13,8 +13,8 @@ from scipy.sparse.csgraph import connected_components
 from streamcut import graph
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError,
-                             _block_rows, from_edges, load_edge_list, restrict_to_lcc,
-                             save_edge_list)
+                             _block_rows, components, from_edges, load_edge_list,
+                             restrict_to_lcc, save_edge_list)
 from conftest import graph_from_pairs, random_gnp, several_components
 
 # sha256 of the (indptr, indices, id_map) bytes of generated graphs: a change
@@ -232,6 +232,26 @@ def test_lcc_equals_rebuild_from_edge_list(g):
     for name in ("indptr", "indices", "id_map"):
         a, b = getattr(sub, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@given(several_components())
+@settings(max_examples=150, deadline=None)
+def test_components_equal_undirected_labels(g):
+    """The strong-component pass over the symmetric rows labels every vertex,
+    isolated ones included, exactly as scipy's undirected pass does."""
+    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
+    ncomp, comp = connected_components(adj, directed=False)
+    got_ncomp, got = components(g)
+    assert got_ncomp == ncomp and np.array_equal(got, comp)
+
+
+def test_lcc_tie_keeps_the_component_of_the_lowest_vertex():
+    """Two largest components of equal size: the one holding dense vertex 0 is kept,
+    as with the undirected labels."""
+    g = graph_from_pairs([(1, 3), (3, 5), (0, 2), (2, 4), (6, 7)])
+    sub = restrict_to_lcc(g)
+    assert list(sub.id_map) == [0, 2, 4]
+    assert np.array_equal(sub.indices, lcc_by_rebuild(g).indices)
 
 
 def test_edge_list_round_trip(tmp_path, two_triangles):

@@ -1,3 +1,4 @@
+import time
 from collections import deque
 
 import numpy as np
@@ -123,11 +124,44 @@ def test_traversals_equal_queue_and_scan_reference(kind, g, seed):
     assert seq.dtype == ref.dtype and np.array_equal(seq, ref)
 
 
-@pytest.mark.parametrize("kind", ["bfs", "dfs"])
-def test_traversals_on_disjoint_edges_equal_reference(kind):
-    """n/2 components, each begun by a restart draw: this pins the restart picker."""
-    n = 2000
-    g = from_edges(np.random.default_rng(3).permutation(n).reshape(-1, 2))
+def chain(n):
+    return np.column_stack([np.arange(n - 1), np.arange(1, n)])
+
+
+TRAVERSAL_GRAPHS = {
+    # n/2 components, each begun by a restart draw: this pins the restart picker
+    "disjoint_edges": lambda: from_edges(np.random.default_rng(3).permutation(2000).reshape(-1, 2)),
+    "path": lambda: from_edges(chain(5000)),  # BFS levels and DFS frames of one vertex
+    "star": lambda: from_edges(np.column_stack([np.full(999, 500), np.delete(np.arange(1000), 500)])),
+    # labels 0, 2, 6 and 9 have only self loops: isolated vertices among small components
+    "isolated": lambda: from_edges(np.array([[0, 0], [1, 5], [2, 2], [5, 7], [9, 9], [3, 4],
+                                             [6, 6], [8, 1], [4, 10]])),
+    "one_vertex": lambda: from_edges(np.array([[4, 4]])),
+}
+
+
+@pytest.mark.parametrize("kind, name", [
+    pytest.param(kind, name, id=kind if name == "disjoint_edges" else f"{kind}-{name}")
+    for name in TRAVERSAL_GRAPHS for kind in ("bfs", "dfs")])
+def test_traversals_on_disjoint_edges_equal_reference(kind, name):
+    """Restart-heavy and extreme shapes (TRAVERSAL_GRAPHS) against the references;
+    each order is a read-only int64 array."""
+    g = TRAVERSAL_GRAPHS[name]()
     for seed in (0, 1):
-        assert np.array_equal(make_stream(g, kind, seed).sequence,
-                              REFERENCE_ORDERS[kind](g, seed))
+        seq = make_stream(g, kind, seed).sequence
+        assert seq.dtype == np.int64 and not seq.flags.writeable
+        assert np.array_equal(seq, REFERENCE_ORDERS[kind](g, seed))
+
+
+def test_dfs_is_linear_on_a_large_star():
+    """scipy's DFS rescans a row from its first entry on each return to the vertex:
+    on the plain rows a hub of 200 000 leaves takes over ten seconds, on the rows
+    make_stream links for DFS some tens of milliseconds."""
+    leaves = 200_000
+    g = from_edges(np.column_stack([np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)]))
+    t0 = time.perf_counter()
+    seq = make_stream(g, "dfs", 0).sequence
+    assert time.perf_counter() - t0 < 2.0
+    start = int(seq[0])
+    rest = np.delete(np.arange(1, leaves + 1), start - 1) if start else np.arange(1, leaves + 1)
+    assert np.array_equal(seq, np.concatenate([[start], [0] if start else [], rest]))
