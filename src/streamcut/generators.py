@@ -7,12 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _from_keys
+from .graph import Graph
 
-# uniforms drawn per block of rows (one row at least). It bounds memory only:
-# the draws are taken row-major, so any block size gives the same uniforms to
-# the same pairs. Smaller blocks skip more of the square below the diagonal
-# (n = 2000 is cut into 8 blocks).
+# cells of the n x n square per block of rows (one row at least): the size of a
+# block's uniforms, probabilities and hit mask. It bounds memory only: each row
+# skips its cells on and below the diagonal by advancing the generator, so any
+# block size gives the same uniforms to the same pairs (n = 2000 is cut into 8
+# blocks).
 _PAIR_BLOCK = 1 << 19
 
 
@@ -71,32 +72,69 @@ def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
     """
     Join each pair i < j with probability prob(lo, hi)[i - lo, j - lo - 1];
     prob(lo, hi) covers rows [lo, hi) and the columns lo+1..n-1 only, since
-    no row of the block can keep a column <= lo.
+    no row of the block can keep a column <= lo. Its entries are finite, so
+    the inf held by the undrawn cells below the diagonal never hits.
 
-    Each block of rows draws its full (hi - lo, n) uniforms, so the stream
-    is the row-major one over the n x n square whatever _PAIR_BLOCK is; the
-    draws on and below the diagonal are taken and never read. A hit (i, j)
-    is the CSR key i*n + j of row i and j*n + i of row j. The first kind is
-    increasing across blocks, the second sorted within a block (read off the
-    transposed hits), so one stable sort merges the runs into row-major
-    order. The pairs are distinct and loop-free: nothing is deduplicated.
+    The uniforms are the row-major stream over the n x n square: row i
+    advances the generator past the cells (i, 0..i), one 64-bit output each
+    as random() would take them, and draws the cells (i, i+1..n-1). So any
+    _PAIR_BLOCK gives the same uniforms to the same pairs.
+
+    Pass 1 keeps each block's hit positions and counts every row's upper
+    (j > i) and lower (j < i) entries. Pass 2 places them at per-row fill
+    pointers, block by block: the block's lower entries, read off its
+    transposed hits, then its upper entries. A block adds lower entries only
+    to rows past its first, so each row gets all its lower entries, in
+    order, before its own block places its upper ones: the rows come out
+    sorted with no sort. The pairs are distinct and loop-free: nothing is
+    deduplicated.
     """
     block = max(1, _PAIR_BLOCK // n)
-    upper, lower = [], []
+    upper = np.zeros(n, dtype=np.int64)
+    lower = np.zeros(n, dtype=np.int64)
+    hits = []
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         b, w = hi - lo, n - lo - 1
-        draws = rng.random((b, n))[:, lo + 1:]
+        draws = np.empty((b, w))  # cell (lo + r, lo + 1 + c) at [r, c]
+        draws[:, :b] = np.inf  # where c < r, which no draw fills
+        for r in range(b):
+            rng.bit_generator.advance(lo + r + 1)
+            rng.random(out=draws[r, r:])
         hit = draws < prob(lo, hi)
-        hit[:, :b] = np.triu(hit[:, :b])  # keep (lo + r, lo + 1 + c) for r <= c only
-        flat = np.flatnonzero(hit)  # r*w + c for the pair (lo + r, lo + 1 + c)
-        upper.append(flat + flat // w * (lo + 1) + (lo * (n + 1) + 1))
-        flat = np.flatnonzero(hit.T)  # c*b + r
-        lower.append(flat + flat // b * (n - b) + ((lo + 1) * n + lo))
-    key = np.concatenate(upper + lower)
-    del upper, lower  # free the per-block keys before the sort takes its buffer
-    key.sort(kind="stable")
-    return _from_keys(key, n, np.arange(n))
+        flat = np.flatnonzero(hit)  # r*w + c
+        upper[lo:hi] = np.diff(np.searchsorted(flat, np.arange(b + 1) * w))
+        lower[lo + 1:] += _column_counts(hit)
+        hits.append(flat.astype(np.int32) if b * w < 2**31 else flat)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(upper + lower, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    fill = indptr[:-1].copy()
+
+    def place(first, counts, flat, span, offset):
+        """Append the sorted positions flat = s*span + x, counted by s, to the rows
+        first + s as the entries offset + x."""
+        rows = slice(first, first + len(counts))
+        at = np.repeat(fill[rows] - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(flat))
+        indices[at] = flat + np.repeat(offset - np.arange(len(counts)) * span, counts)
+        fill[rows] += counts
+
+    for lo, flat in zip(range(0, n, block), hits):
+        hi = min(lo + block, n)
+        b, w = hi - lo, n - lo - 1
+        hit = np.zeros((b, w), dtype=bool)
+        hit.ravel()[flat] = True
+        place(lo + 1, _column_counts(hit), np.flatnonzero(hit.T), b, lo)  # c*b + r
+        place(lo, upper[lo:hi], flat, w, lo + 1)
+    return Graph(n=n, m=len(indices) // 2, indptr=indptr, indices=indices,
+                 id_map=np.arange(n))
+
+
+def _column_counts(hit: np.ndarray) -> np.ndarray:
+    """np.count_nonzero(hit, axis=0) of a bool hit, a few times faster: its bytes
+    summed as integers."""
+    return hit.view(np.uint8).sum(axis=0, dtype=np.int32)
 
 
 def generate_hp(params: HpParams):

@@ -120,8 +120,9 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     gives the same arrays.
 
     One sort of the 1-D key u*n + v over both directions of every edge
-    dedups the edges and yields the CSR arrays (_from_keys). u*n + v < n**2
-    fits int64 for any n < 3e9.
+    dedups the edges and yields the CSR arrays: indptr from where each row's
+    keys start, indices as the keys less row*n. u*n + v < n**2 fits int64
+    for any n < 3e9.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if id_map is None:
@@ -155,12 +156,7 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
         raise EmptyGraphError("no edges remain after preprocessing")
     key = np.concatenate([u * n + v, v * n + u])
     key.sort()
-    return _from_keys(key[_run_starts(key)], n, id_map)
-
-
-def _from_keys(key: np.ndarray, n: int, id_map: np.ndarray) -> Graph:
-    """The Graph whose adjacency is the sorted distinct int64 keys row*n + col of
-    both directions of every edge; key becomes its indices."""
+    key = key[_run_starts(key)]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
     key -= np.repeat(np.arange(n) * n, np.diff(indptr))
     return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=id_map)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,31 @@ def test_direct_csr_build_equals_edge_list_sampler(params, block, any_block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generators, "_PAIR_BLOCK", size)
         assert_same_build(sample(params), reference_sample(params))
+
+
+@pytest.mark.parametrize("params", [HpParams(300, 3, 0.3, 0.05), ClParams(300, 2.1)],
+                         ids=["hp300", "cl300"])
+@pytest.mark.parametrize("rows", ["1", "n", "7n/3"])
+def test_row_blocks_equal_full_square_draws(params, rows):
+    """_PAIR_BLOCK 1 and n cut n = 300 into blocks of one row, 7n/3 into blocks of
+    two: across 150 to 300 blocks, the per-row advance gives the uniforms of the
+    full square."""
+    n = params.n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_PAIR_BLOCK", {"1": 1, "n": n, "7n/3": 7 * n // 3}[rows])
+        assert_same_build(sample(params), reference_sample(params))
+
+
+def test_hp_build_holds_at_most_one_and_a_half_csrs():
+    """The tracemalloc peak of one HP(5000) build, about 1.3 times its CSR (110 MiB):
+    the hit positions and one block beside the CSR, where a key sort held two CSRs."""
+    tracemalloc.start()
+    try:
+        g, _ = generate_hp(HpParams(5000, 4, 0.8, 0.5, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (g.indptr.nbytes + g.indices.nbytes)
 
 
 @pytest.mark.parametrize("params", list(GOLDEN_MULTI_BLOCK), ids=["hp2000", "cl3000"])
