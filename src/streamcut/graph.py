@@ -5,10 +5,9 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 _PARSE_BLOCK_CHARS = 1 << 14  # bounds the per-line strings the fallback reader holds at once
 # read backwards: a line's first '#' with a character other than str.split()'s ASCII
@@ -44,7 +43,7 @@ class Graph:
     ``indices[indptr[v]:indptr[v+1]]``, sorted ascending. ``id_map[v]``
     is the original label of dense vertex v (identity for generated
     graphs). No self loops, no duplicate edges, symmetric by
-    construction.
+    construction. Its component labels are found on first use and kept.
     """
 
     n: int
@@ -71,6 +70,19 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """(count, label of each vertex), from scipy (loaded here, not on import): its
+        strong components of the symmetric rows, found without the transpose its
+        undirected pass adds."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+        adj = csr_matrix((np.broadcast_to(1.0, len(self.indices)), self.indices, self.indptr),
+                         shape=(self.n, self.n))
+        count, labels = connected_components(adj, directed=True, connection="strong")
+        labels.setflags(write=False)  # shared by every reader of this graph
+        return count, labels
 
     def edge_array(self) -> np.ndarray:
         """Each undirected edge once, as an (m, 2) array with u < v."""
@@ -163,18 +175,17 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
 
 
 def components(g: Graph) -> tuple[int, np.ndarray]:
-    """(count, label of each vertex) of g's connected components: scipy's strong components
-    of the symmetric rows, found without the transpose its undirected pass adds."""
-    adj = csr_matrix((np.broadcast_to(1.0, len(g.indices)), g.indices, g.indptr),
-                     shape=(g.n, g.n))
-    return connected_components(adj, directed=True, connection="strong")
+    """(count, label of each vertex) of g's connected components, labelled once per graph."""
+    return g._components
 
 
 def restrict_to_lcc(g: Graph) -> Graph:
     """
     Largest connected component, relabeled densely; id_map composed. Its
     CSR rows are kept: no edge leaves a component and the renumbering
-    keeps order, so each row stays sorted.
+    keeps order, so each row stays sorted. The result is one component,
+    so it is handed those labels and a later BFS/DFS order does not label
+    it again.
     """
     ncomp, comp = components(g)
     if ncomp == 1:
@@ -185,8 +196,12 @@ def restrict_to_lcc(g: Graph) -> Graph:
     degrees = g.degrees[keep]
     indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    return Graph(n=len(degrees), m=len(indices) // 2, indptr=indptr,
-                 indices=indices, id_map=g.id_map[keep])
+    lcc = Graph(n=len(degrees), m=len(indices) // 2, indptr=indptr,
+                indices=indices, id_map=g.id_map[keep])
+    labels = np.zeros(lcc.n, dtype=comp.dtype)
+    labels.setflags(write=False)
+    vars(lcc)["_components"] = (1, labels)  # where cached_property would store them
+    return lcc
 
 
 def _numpy_may_parse(data: bytes) -> bool:

@@ -204,8 +204,8 @@ class PartitionRun:
             base, nplaced, later, lstarts = block
         min_load = self.tie_policy == "min_load"
         starts, pu, pw = pairs or (None,) * 3
-        # no triangle at the block start and no pair in it: every cluster scores 0 or -0.0
-        # (t's load is zeros, lt/et's finite), so all k tie and the pick is by load alone
+        # no triangle at the block start and none closed in it: every cluster scores 0 or
+        # -0.0 (t's load is zeros, lt/et's finite), so all k tie and the pick is by load alone
         zero = (~tri.any(axis=1)).tolist() if pairs else ()
         cut = 0
         for j, v in enumerate(vertices):
@@ -218,16 +218,18 @@ class PartitionRun:
                 counts = counts[1:]
             else:
                 counts, placed = base[j], nplaced[j]
-            if zero and zero[j] and starts[j] == starts[j + 1]:  # as the tie below would pick
+            closed = ()  # the clusters of the triangles v closes inside the block
+            if pairs and starts[j + 1] > starts[j]:
+                cu = assignment[pu[starts[j]:starts[j + 1]]]
+                closed = cu[cu == assignment[pw[starts[j]:starts[j + 1]]]]
+            if zero and zero[j] and not len(closed):  # as the tie below would pick
                 c = sizes.index(min(sizes)) if min_load else 0
             else:
                 signal = counts
                 if tri is not None:
                     signal = tri[j]
-                    if starts[j + 1] > starts[j]:  # triangles closed inside the block
-                        cu = assignment[pu[starts[j]:starts[j + 1]]]
-                        hit = cu == assignment[pw[starts[j]:starts[j + 1]]]
-                        signal = signal + np.bincount(cu[hit], minlength=k)
+                    if len(closed):
+                        signal = signal + np.bincount(closed, minlength=k)
                 if surplus:  # interior-edge fennel: the charge depends on the counts
                     signal = delta_g(internal, config, signal)
                 scores = op(signal, charge)

@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
 from .graph import Graph, components
 
@@ -40,9 +38,10 @@ def _linked(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([np.arange(n), np.arange(n, n + 2 * nnz + 1, 2)], dtype=dtype), rows
 
 
-def _walk(g: Graph, rng: np.random.Generator, walk) -> np.ndarray:
+def _walk(g: Graph, rng: np.random.Generator, kind: str) -> np.ndarray:
     """
-    walk (scipy's breadth_first_order or depth_first_order) over each component
+    A "bfs" or "dfs" walk (scipy's breadth_first_order or depth_first_order, loaded
+    here, not on import) over each component
     from a start drawn as a full scan draws it: the rng.integers(#unvisited)-th
     unvisited vertex in index order. Unvisited vertices are counted per block of
     isqrt(n), so a cumsum finds the block and a scan of it the vertex.
@@ -53,6 +52,9 @@ def _walk(g: Graph, rng: np.random.Generator, walk) -> np.ndarray:
     component depends on its vertices only, and DFS ends each before the next.
     DFS walks the rows _linked makes, which keep it linear.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, depth_first_order
+
     ncomp, comp = components(g)
     members = np.argsort(comp, kind="stable")  # component c is members[bounds[c]:bounds[c + 1]]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(comp))])
@@ -75,10 +77,11 @@ def _walk(g: Graph, rng: np.random.Generator, walk) -> np.ndarray:
     dtype = np.int32 if 2 * (g.n + size) < 2 ** 31 else np.int64
     indices = np.concatenate([g.indices, starts], dtype=dtype)
     indptr = np.append(g.indptr, size)
-    if walk is depth_first_order:
+    if kind == "dfs":
         indptr, indices = _linked(indptr, indices)
     shape = (len(indptr) - 1,) * 2
     adj = csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr), shape=shape)
+    walk = depth_first_order if kind == "dfs" else breadth_first_order
     order = walk(adj, g.n, return_predecessors=False)
     order = order[order < g.n]
     return order[np.argsort(rank[comp[order]], kind="stable")].astype(np.int64)
@@ -100,6 +103,6 @@ def make_stream(g: Graph, order_kind: str, seed: int) -> StreamPlan:
     if order_kind == "random":
         seq = rng.permutation(g.n)
     else:
-        seq = _walk(g, rng, breadth_first_order if order_kind == "bfs" else depth_first_order)
+        seq = _walk(g, rng, order_kind)
     seq.setflags(write=False)
     return StreamPlan(order_kind=order_kind, seed=seed, sequence=seq)

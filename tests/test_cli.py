@@ -1,12 +1,19 @@
 import argparse
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import scipy.sparse.csgraph
 
 from streamcut.cli import build_parser, main
 from streamcut.generators import HpParams, generate_hp
-from streamcut.graph import load_edge_list, save_edge_list
+from streamcut.graph import load_edge_list, restrict_to_lcc, save_edge_list
+from streamcut.stream import make_stream
 from conftest import graph_from_pairs
 
 
@@ -231,3 +238,60 @@ def test_partition_names_the_line_that_is_not_utf8(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "partition", "--graph", str(graph), "--k", "2")
     assert code == 1 and stdout == ""
     assert stderr == f"error: {graph}:3: malformed edge line '\\\\xff\\\\xfe 4'\n"
+
+
+def test_bfs_partition_labels_the_components_once(tmp_path, capsys, monkeypatch):
+    """The LCC restriction labels the file's two components; its result is handed
+    its single component, so the BFS order does not label it again."""
+    calls = []
+    labels = scipy.sparse.csgraph.connected_components
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                        lambda *a, **kw: calls.append(1) or labels(*a, **kw))
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 0\n2 3\n10 11\n")
+    code, stdout, _ = run(capsys, "partition", "--graph", str(graph), "--k", "2",
+                          "--order", "bfs")
+    assert code == 0 and "n=4" in stdout.split()
+    assert len(calls) == 1
+
+
+_IMPORT_FOOTPRINT = """
+import json, sys
+import numpy as np
+import streamcut, streamcut.cli
+from streamcut import (HpParams, ObjectiveConfig, evaluate_run, generate_hp, make_stream,
+                       partition_stream, restrict_to_lcc)
+from streamcut.graph import from_edges
+out, pairs, first = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+g, _ = generate_hp(HpParams(60, 2, 0.5, 0.1, seed=1))
+plan = make_stream(g, "random", 1)
+snap, stats = partition_stream(g, plan, 2, "fennel", ObjectiveConfig(), 1)
+evaluate_run(g, "hp", snap, ObjectiveConfig(), "random", "fennel", 1, stats.runtime_ms, 0)
+assert streamcut.cli.main(["generate", "hp", "--n", "60", "--k", "2", "--p", "0.5",
+                           "--q", "0.1", "--out", out]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
+g = from_edges(np.array(pairs))
+lcc = restrict_to_lcc(g) if first == "lcc" else make_stream(g, first, 3)
+assert "scipy" in sys.modules, f"{first} did not load scipy"
+lcc = restrict_to_lcc(g)
+print(json.dumps([lcc.id_map.tolist()]
+                 + [make_stream(h, kind, 3).sequence.tolist()
+                    for h in (g, lcc) for kind in ("bfs", "dfs")]))
+"""
+
+
+@pytest.mark.parametrize("first", ["lcc", "bfs", "dfs"])
+def test_scipy_loads_only_for_the_lcc_and_the_walks(tmp_path, first):
+    """import streamcut, a generate, random order, partition and evaluation load numpy
+    only; the LCC restriction or a BFS/DFS order, whichever comes first, loads scipy,
+    and each gives the answer it gives with scipy loaded up front."""
+    pairs = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 5), (7, 8)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(tmp_path / "hp.txt"),
+                           json.dumps(pairs), first], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    g = graph_from_pairs(pairs)
+    lcc = restrict_to_lcc(g)
+    assert json.loads(done.stdout.splitlines()[-1]) == [lcc.id_map.tolist()] + [
+        make_stream(h, kind, 3).sequence.tolist() for h in (g, lcc) for kind in ("bfs", "dfs")]

@@ -245,6 +245,18 @@ def test_components_equal_undirected_labels(g):
     assert got_ncomp == ncomp and np.array_equal(got, comp)
 
 
+@given(several_components())
+@settings(max_examples=50, deadline=None)
+def test_lcc_is_handed_its_one_component(g):
+    """restrict_to_lcc hands its result the labels a fresh pass finds (one component,
+    all zeros); a graph's labels are found once and shared, so they are read-only."""
+    got, want = components(restrict_to_lcc(g)), components(lcc_by_rebuild(g))
+    assert got[0] == want[0] == 1
+    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert components(g)[1] is components(g)[1]
+    assert not (got[1].flags.writeable or components(g)[1].flags.writeable)
+
+
 def test_lcc_tie_keeps_the_component_of_the_lowest_vertex():
     """Two largest components of equal size: the one holding dense vertex 0 is kept,
     as with the undirected labels."""

@@ -669,6 +669,33 @@ def test_few_triangles_match_the_reference(monkeypatch, span):
     check()
 
 
+@pytest.mark.parametrize("heuristic", ["t", "lt", "et"])
+@pytest.mark.parametrize("tie", TIE_POLICIES)
+def test_a_pair_across_two_clusters_takes_the_zero_pick(heuristic, tie):
+    """Arrivals 4 and 5 close a triangle each with placed vertices, in clusters 0 and 1;
+    6 arrives in the same block and its one pair there, (5, 4), spans the two. It closes
+    no triangle, so it takes the load-only pick without a score, and every pick equals
+    the reference step's."""
+    g = from_edges(np.array([(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5),
+                             (4, 5), (4, 6), (5, 6)]), id_map=np.arange(20))
+    k = 3
+    run = PartitionRun(g, k, heuristic, CFG.resolve(g, k), seed=0, tie_policy=tie)
+    place(run, [0, 1, 2, 3], [0, 0, 1, 1])
+    want, sizes = run.snapshot.assignment.copy(), [2, 2, 0]
+    for v in (4, 5, 6):
+        scores = reference_scores(heuristic, brute_triangles(g, want, v, k), sizes, [0] * k,
+                                  CFG, g.n, k)
+        best = np.flatnonzero(scores == scores.max()).tolist()
+        want[v] = best[0] if tie == "lowest_index" else min(best, key=lambda i: (sizes[i], i))
+        sizes[want[v]] += 1
+    scored, op = [], run._op
+    run._op = lambda signal, charge: scored.append(signal) or op(signal, charge)
+    run._assign(np.array([4, 5, 6]))
+    assert np.array_equal(run.snapshot.assignment, want)
+    assert want[[4, 5, 6]].tolist() == [0, 1, 0 if tie == "lowest_index" else 2]
+    assert len(scored) == 2  # 4 and 5; 6 is picked by load alone
+
+
 @functools.cache
 def overflow_graph():
     """150 random rows over 2000 vertices: most are isolated, so at k = 2 with
