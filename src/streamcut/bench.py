@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +30,8 @@ _GRAPH_PARAMS = {
             "q": float}, 4, HpParams),
     "cl": ({"n": int, "delta": float, "avg_degree": float, "i0": int}, 2, ClParams),
 }
+
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")  # an int64 field as np.loadtxt reads one
 
 _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -86,6 +90,8 @@ class BenchSpec:
                 raise BenchSpecError(f"unknown order {o!r}")
         if self.tie_policy not in TIE_POLICIES:
             raise BenchSpecError(f"unknown tie policy {self.tie_policy!r}")
+        if not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise BenchSpecError(f"out {self.out!r} is in no existing directory")
 
 
 def _parse_graph_spec(spec: str) -> tuple[str, dict, dict[str, str]]:
@@ -214,15 +220,15 @@ def run_bench(spec: BenchSpec):
     spec.validate()
     cells: dict[tuple[int, ...], tuple[list[str], RunResult | None]] = {}
     ks, seeds = list(enumerate(spec.k_list)), list(enumerate(spec.seeds))
-    for gi, gspec in enumerate(spec.graphs):
-        kind, params, text = _parse_graph_spec(gspec)
-        kis = [[pair] for pair in ks] if params.get("k") == MATCH else [ks]
-        sis = [seeds] if kind == "path" else [[pair] for pair in seeds]
-        for part in itertools.product(kis, sis):
-            _run_instance(spec, gi, (kind, params, text), *part, cells)
-    runs = [cells[key] for key in sorted(cells)]
-    results = [r for _, r in runs if r is not None]
-    with open(spec.out, "w", newline="") as fh:
+    with open(spec.out, "w", newline="") as fh:  # first: a path it cannot write costs no run
+        for gi, gspec in enumerate(spec.graphs):
+            kind, params, text = _parse_graph_spec(gspec)
+            kis = [[pair] for pair in ks] if params.get("k") == MATCH else [ks]
+            sis = [seeds] if kind == "path" else [[pair] for pair in seeds]
+            for part in itertools.product(kis, sis):
+                _run_instance(spec, gi, (kind, params, text), *part, cells)
+        runs = [cells[key] for key in sorted(cells)]
+        results = [r for _, r in runs if r is not None]
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         w.writerows([row for row, _ in runs] + aggregate_rows(results))
@@ -275,11 +281,28 @@ def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
                       for v, c in zip(g.id_map.tolist(), assignment.tolist(), strict=True))
 
 
+def _malformed_row(path) -> ValueError | None:
+    """FILE:LINE of the first row of an assignment CSV that is not two int64 fields (an
+    empty line is no row), or None if path is no regular file that can be read again."""
+    if not os.path.isfile(path):
+        return None
+    with open(path) as fh:
+        next(fh, None)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            text = line.rstrip("\n")
+            fields = text.split(",")
+            if text and not (len(fields) == 2 and all(
+                    _INT_FIELD.fullmatch(x) and -2**63 <= int(x) < 2**63 for x in fields)):
+                return ValueError(f"{path}:{lineno}: malformed row {text!r}")
+    return None
+
+
 def read_assignment(g: Graph, path, k: int) -> np.ndarray:
     """
     Inverse of write_assignment; validates coverage, cluster range and
     that no vertex has two rows. A bad row is reported by the first
-    offending row in file order.
+    offending row in file order; a malformed one by its file line, found
+    by a second read only once numpy's single pass has rejected the file.
     """
     with open(path) as fh, warnings.catch_warnings():
         if next(csv.reader([fh.readline()])) != ["vertex", "cluster"]:
@@ -287,10 +310,10 @@ def read_assignment(g: Graph, path, k: int) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)  # a file without rows
         try:
             rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            if rows.size and rows.shape[1] != 2:
+                raise ValueError(f"expected 2 columns, got {rows.shape[1]}")
         except ValueError as ex:
-            raise ValueError(f"{path}: {ex}") from None
-    if rows.size and rows.shape[1] != 2:
-        raise ValueError(f"{path}: expected 2 columns, got {rows.shape[1]}")
+            raise _malformed_row(path) or ValueError(f"{path}: {ex}") from None
     labels, clusters = rows.reshape(-1, 2).T
     # dense id of each label, looked up in id_map sorted (it need not be)
     order = np.argsort(g.id_map, kind="stable")

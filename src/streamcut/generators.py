@@ -127,8 +127,7 @@ def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
         hit.ravel()[flat] = True
         place(lo + 1, _column_counts(hit), np.flatnonzero(hit.T), b, lo)  # c*b + r
         place(lo, upper[lo:hi], flat, w, lo + 1)
-    return Graph(n=n, m=len(indices) // 2, indptr=indptr, indices=indices,
-                 id_map=np.arange(n))
+    return Graph(indptr=indptr, indices=indices, id_map=np.arange(n))
 
 
 def _column_counts(hit: np.ndarray) -> np.ndarray:

@@ -37,24 +37,31 @@ class EmptyGraphError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     """
-    Simple undirected graph, frozen after construction (CSR arrays read-only).
+    Simple undirected graph, frozen after construction (its arrays read-only).
 
     Adjacency is CSR-style: the neighbors of dense vertex v are
     ``indices[indptr[v]:indptr[v+1]]``, sorted ascending. ``id_map[v]``
     is the original label of dense vertex v (identity for generated
     graphs). No self loops, no duplicate edges, symmetric by
-    construction. Its component labels are found on first use and kept.
+    construction, so n and m are read off the arrays. Its component
+    labels are found on first use and kept.
     """
 
-    n: int
-    m: int
     indptr: np.ndarray
     indices: np.ndarray
     id_map: np.ndarray
 
     def __post_init__(self):
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+        for a in (self.indptr, self.indices, self.id_map):
+            a.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def m(self) -> int:
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -72,10 +79,10 @@ class Graph:
         return np.diff(self.indptr)
 
     @cached_property
-    def _components(self) -> tuple[int, np.ndarray]:
-        """(count, label of each vertex), from scipy (loaded here, not on import): its
-        strong components of the symmetric rows, found without the transpose its
-        undirected pass adds."""
+    def components(self) -> tuple[int, np.ndarray]:
+        """(count, label of each vertex) of the connected components, from scipy (loaded
+        here, not on import): its strong components of the symmetric rows, found without
+        the transpose its undirected pass adds."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
         adj = csr_matrix((np.broadcast_to(1.0, len(self.indices)), self.indices, self.indptr),
@@ -128,8 +135,9 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
 
     Labels in [0, 2E) are densified through a table of the labels seen:
     its nonzero positions are id_map, and a label's dense id is its
-    position there. Wider labels (64-bit ids, say) are argsorted, which
-    gives the same arrays.
+    position there. Wider labels (64-bit ids, say) go through np.unique,
+    which gives the same arrays. A supplied id_map is copied, so freezing
+    the graph leaves the caller's array as it was.
 
     One sort of the 1-D key u*n + v over both directions of every edge
     dedups the edges and yields the CSR arrays: indptr from where each row's
@@ -148,15 +156,11 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
             rank[id_map] = np.arange(len(id_map))
             dense = rank[flat]
         else:
-            order = np.argsort(flat)
-            starts = _run_starts(flat[order])
-            id_map = flat[order[starts]]
-            dense = np.empty_like(flat)
-            dense[order] = np.cumsum(starts) - 1
+            id_map, dense = np.unique(flat, return_inverse=True)
         n = len(id_map)
         edges = dense.reshape(-1, 2)
     else:
-        id_map = np.asarray(id_map)
+        id_map = np.array(id_map)
         n = len(id_map)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint outside [0, n)")
@@ -171,12 +175,7 @@ def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:
     key = key[_run_starts(key)]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
     key -= np.repeat(np.arange(n) * n, np.diff(indptr))
-    return Graph(n=n, m=len(key) // 2, indptr=indptr, indices=key, id_map=id_map)
-
-
-def components(g: Graph) -> tuple[int, np.ndarray]:
-    """(count, label of each vertex) of g's connected components, labelled once per graph."""
-    return g._components
+    return Graph(indptr=indptr, indices=key, id_map=id_map)
 
 
 def restrict_to_lcc(g: Graph) -> Graph:
@@ -187,7 +186,7 @@ def restrict_to_lcc(g: Graph) -> Graph:
     so it is handed those labels and a later BFS/DFS order does not label
     it again.
     """
-    ncomp, comp = components(g)
+    ncomp, comp = g.components
     if ncomp == 1:
         return g
     keep = comp == np.argmax(np.bincount(comp, minlength=ncomp))
@@ -196,11 +195,10 @@ def restrict_to_lcc(g: Graph) -> Graph:
     degrees = g.degrees[keep]
     indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    lcc = Graph(n=len(degrees), m=len(indices) // 2, indptr=indptr,
-                indices=indices, id_map=g.id_map[keep])
+    lcc = Graph(indptr=indptr, indices=indices, id_map=g.id_map[keep])
     labels = np.zeros(lcc.n, dtype=comp.dtype)
     labels.setflags(write=False)
-    vars(lcc)["_components"] = (1, labels)  # where cached_property would store them
+    vars(lcc)["components"] = (1, labels)  # where cached_property would store them
     return lcc
 
 

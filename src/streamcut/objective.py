@@ -116,7 +116,11 @@ class PartitionSnapshot:
         self.cluster_vertex_counts = np.zeros(k, dtype=np.int64)
         self.cluster_internal_edges = np.zeros(k, dtype=np.int64)
         self.cut_edges = 0
-        self.assigned_count = 0
+
+    @property
+    def assigned_count(self) -> int:
+        """Vertices placed so far: the cluster sizes' sum."""
+        return int(self.cluster_vertex_counts.sum())
 
     @property
     def fully_assigned(self) -> bool:
@@ -134,7 +138,6 @@ def recount(snap: PartitionSnapshot) -> PartitionSnapshot:
     g, a, k = snap.graph, snap.assignment, snap.k
     placed = a >= 0
     snap.cluster_vertex_counts = np.bincount(a[placed], minlength=k)
-    snap.assigned_count = int(placed.sum())
     degrees, internal, cut = g.degrees, np.zeros(k, dtype=np.int64), 0
     for lo, hi in spans(degrees):
         mine = a[lo:hi].repeat(degrees[lo:hi])

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -86,11 +85,6 @@ class PartitionRun:
             # k + stream position of each arrival (a placed one is told by its cluster), else
             # _FREE; _block_triangles marks a block's placed neighbours with their clusters
             self._mark = np.full(g.n, _FREE, dtype=np.int64)
-
-    @cached_property
-    def _indptr(self) -> list:
-        """Row offsets as Python ints, for the per-arrival gather."""
-        return self.graph.indptr.tolist()
 
     def _adjacency(self, vertices: np.ndarray, first: int = 0):
         """(first + position in vertices, neighbour) of every adjacency entry of vertices."""
@@ -199,7 +193,7 @@ class PartitionRun:
         sizes, internal = snap.cluster_vertex_counts.tolist(), snap.cluster_internal_edges.tolist()
         surplus = self._signal == "surplus"
         if block is None:
-            indptr, indices = self._indptr, self.graph.indices
+            indptr, indices = self.graph.indptr, self.graph.indices
         else:
             base, nplaced, later, lstarts = block
         min_load = self.tie_policy == "min_load"
@@ -248,7 +242,6 @@ class PartitionRun:
         snap.cluster_vertex_counts[:] = sizes
         snap.cluster_internal_edges[:] = internal
         snap.cut_edges += cut
-        snap.assigned_count += len(vertices)
 
 
 def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, components
+from .graph import Graph
 
 ORDER_KINDS = ("random", "bfs", "dfs")
 
@@ -55,7 +55,7 @@ def _walk(g: Graph, rng: np.random.Generator, kind: str) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
-    ncomp, comp = components(g)
+    ncomp, comp = g.components
     members = np.argsort(comp, kind="stable")  # component c is members[bounds[c]:bounds[c + 1]]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(comp))])
     width = max(1, math.isqrt(g.n))

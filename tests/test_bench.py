@@ -115,11 +115,12 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = {heuristic}\n
     ({"extra": "graph = hp:n=20,k=2,p=0.5,q=0.1"},
      "repeated graph value 'hp:n=20,k=2,p=0.5,q=0.1'"),
     ({"extra": "graph = hp:n=20,k=2,p=.5,q=0.1"}, "repeated graph value 'hp:n=20,k=2,p=.5,q=0.1'"),
+    ({"extra": "out = no/such/dir/res.csv"}, "'no/such/dir/res.csv'"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
         "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
         "cl_avg_degree", "k_repeat", "gamma_repeat", "order_repeat", "heuristic_repeat",
-        "seeds_repeat", "graph_repeat", "graph_repeat_typed"])
+        "seeds_repeat", "graph_repeat", "graph_repeat_typed", "out_dir_missing"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):
@@ -134,6 +135,16 @@ def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     with pytest.raises(BenchSpecError) as err:
         parse_bench_spec(p)
     assert str(p) in str(err.value) and names in str(err.value)
+
+
+def test_bench_opens_its_csv_before_the_first_run(tmp_path, monkeypatch):
+    """An out path in an existing directory that cannot be written costs no run."""
+    runs = []
+    monkeypatch.setattr(bench_mod, "partition_stream", lambda *args, **kw: runs.append(args))
+    spec = parse_bench_spec(write_spec(tmp_path, out=str(tmp_path)))  # a directory
+    with pytest.raises(IsADirectoryError):
+        run_bench(spec)
+    assert runs == []
 
 
 def test_q_above_p_warns_only_when_an_instance_is_built(tmp_path):
@@ -506,6 +517,21 @@ def test_assignment_validation(tmp_path):
         p.write_text("vertex,cluster\n" + body)
         with pytest.raises(ValueError, match="assign.csv"):
             read_assignment(g, p, 2)  # malformed rows name the file
+
+
+@pytest.mark.parametrize("row", ["2", "2,0,1", "2,x", "2,0.5", "99999999999999999999,0",
+                                 "2,-9223372036854775809", "0;0", "  "])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_malformed_assignment_row_names_its_file_line(tmp_path, row, newline):
+    """Blank lines before the bad row count: it is named by its file line, as numpy's
+    row numbers (which skip blank lines, and differ by kind of fault) would not."""
+    g = graph_from_pairs([(0, 1), (1, 2)])
+    p = tmp_path / "assign.csv"
+    lines = ["vertex,cluster", "0,0", "", "", "1,1", row, "2,0", ""]
+    p.write_bytes(newline.join(lines).encode())
+    with pytest.raises(ValueError) as err:
+        read_assignment(g, p, 2)
+    assert str(err.value) == f"{p}:6: malformed row {row!r}"
 
 
 @pytest.mark.parametrize("id_map", [[10, 1000, 2**40, 2**40 + 1, 7],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -12,8 +13,8 @@ from scipy.sparse.csgraph import connected_components
 
 from streamcut import graph
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
-from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError,
-                             _block_rows, components, from_edges, load_edge_list,
+from streamcut.graph import (_PARSE_BLOCK_CHARS, EdgeListParseError, EmptyGraphError, Graph,
+                             _block_rows, from_edges, load_edge_list,
                              restrict_to_lcc, save_edge_list)
 from conftest import graph_from_pairs, random_gnp, several_components
 
@@ -57,7 +58,8 @@ def assert_matches_reference(g, pairs, id_map=None):
     assert (g.n, g.m) == (len(labels), m)
     assert [g.neighbors(v).tolist() for v in range(g.n)] == adj
     assert g.indptr.dtype == g.indices.dtype == np.int64
-    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+    assert not (g.indptr.flags.writeable or g.indices.flags.writeable
+                or g.id_map.flags.writeable)
 
 
 @st.composite
@@ -128,6 +130,42 @@ def test_explicit_id_map_keeps_isolated_vertices():
 def test_explicit_id_map_range_checked():
     with pytest.raises(ValueError):
         from_edges(np.array([[0, 7]]), id_map=np.arange(3))
+
+
+def test_from_edges_copies_a_supplied_id_map():
+    """Freezing the graph leaves the caller's id_map writable, and a later write to it
+    does not reach the graph."""
+    ids = np.array([10, 20, 30])
+    g = from_edges(np.array([[0, 1], [1, 2]]), id_map=ids)
+    assert ids.flags.writeable and not g.id_map.flags.writeable
+    ids[0] = 99
+    assert g.id_map.tolist() == [10, 20, 30]
+
+
+def test_graph_is_its_three_arrays():
+    """n and m are read off the arrays, not passed in beside them."""
+    assert [f.name for f in dataclasses.fields(Graph)] == ["indptr", "indices", "id_map"]
+    path_0_1_2 = dict(indptr=np.array([0, 1, 3, 4]), indices=np.array([1, 0, 2, 1]),
+                      id_map=np.arange(3))
+    with pytest.raises(TypeError):
+        Graph(n=3, m=5, **path_0_1_2)
+    g = Graph(**path_0_1_2)
+    assert (g.n, g.m) == (3, 2)
+
+
+def test_n_and_m_are_the_array_lengths(tmp_path):
+    """Every way a graph is made: n and m are Python ints equal to the array lengths."""
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n2 3\n3 1\n7 8\n")
+    built = [generate_hp(HpParams(n=60, k=3, p=0.3, q=0.05, seed=1))[0],
+             generate_cl(ClParams(n=80, delta=2.5, avg_degree=4, seed=1)),
+             from_edges(np.array([[5, 9], [9, 2**40]])),
+             restrict_to_lcc(graph_from_pairs([(0, 1), (1, 2), (5, 6)])),
+             load_edge_list(p), load_edge_list(p, lcc=False)]
+    for g in built:
+        assert type(g.n) is int and type(g.m) is int
+        assert g.n == len(g.indptr) - 1 == len(g.id_map)
+        assert g.m == len(g.indices) // 2 == len(g.edge_array())
 
 
 def test_vertex_index_bounds(triangle):
@@ -241,7 +279,7 @@ def test_components_equal_undirected_labels(g):
     isolated ones included, exactly as scipy's undirected pass does."""
     adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
     ncomp, comp = connected_components(adj, directed=False)
-    got_ncomp, got = components(g)
+    got_ncomp, got = g.components
     assert got_ncomp == ncomp and np.array_equal(got, comp)
 
 
@@ -250,11 +288,11 @@ def test_components_equal_undirected_labels(g):
 def test_lcc_is_handed_its_one_component(g):
     """restrict_to_lcc hands its result the labels a fresh pass finds (one component,
     all zeros); a graph's labels are found once and shared, so they are read-only."""
-    got, want = components(restrict_to_lcc(g)), components(lcc_by_rebuild(g))
+    got, want = restrict_to_lcc(g).components, lcc_by_rebuild(g).components
     assert got[0] == want[0] == 1
     assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
-    assert components(g)[1] is components(g)[1]
-    assert not (got[1].flags.writeable or components(g)[1].flags.writeable)
+    assert g.components[1] is g.components[1]
+    assert not (got[1].flags.writeable or g.components[1].flags.writeable)
 
 
 def test_lcc_tie_keeps_the_component_of_the_lowest_vertex():

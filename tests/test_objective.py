@@ -109,6 +109,17 @@ def test_recount_matches_per_edge_count(span, n, p, seed, k):
     assert snap.cut_edges == cut
 
 
+def test_assigned_count_is_the_cluster_sizes_sum(triangle):
+    """The placed count is read off the vertex counters; no second counter can be set."""
+    snap = PartitionSnapshot(triangle, 2)
+    with pytest.raises(AttributeError):
+        snap.assigned_count = 3
+    assert snap.assigned_count == 0
+    snap.assignment = np.array([1, -1, 1])
+    recount(snap)
+    assert type(snap.assigned_count) is int and snap.assigned_count == 2
+
+
 def test_eval_requires_full_assignment(triangle):
     snap = PartitionSnapshot(triangle, 2)
     with pytest.raises(SnapshotError):
