@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 import re
@@ -281,19 +282,17 @@ def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
                       for v, c in zip(g.id_map.tolist(), assignment.tolist(), strict=True))
 
 
-def _malformed_row(path) -> ValueError | None:
-    """FILE:LINE of the first row of an assignment CSV that is not two int64 fields (an
-    empty line is no row), or None if path is no regular file that can be read again."""
-    if not os.path.isfile(path):
-        return None
-    with open(path) as fh:
-        next(fh, None)  # the header
-        for lineno, line in enumerate(fh, start=2):
-            text = line.rstrip("\n")
-            fields = text.split(",")
-            if text and not (len(fields) == 2 and all(
-                    _INT_FIELD.fullmatch(x) and -2**63 <= int(x) < 2**63 for x in fields)):
-                return ValueError(f"{path}:{lineno}: malformed row {text!r}")
+def _malformed_row(path, fh) -> ValueError | None:
+    """FILE:LINE of the first row of the assignment CSV fh that is not two int64 fields
+    (an empty line is no row), read again from its start; None if there is none."""
+    fh.seek(0)
+    next(fh, None)  # the header
+    for lineno, line in enumerate(fh, start=2):
+        text = line.rstrip("\n")
+        fields = text.split(",")
+        if text and not (len(fields) == 2 and all(
+                _INT_FIELD.fullmatch(x) and -2**63 <= int(x) < 2**63 for x in fields)):
+            return ValueError(f"{path}:{lineno}: malformed row {text!r}")
     return None
 
 
@@ -303,8 +302,12 @@ def read_assignment(g: Graph, path, k: int) -> np.ndarray:
     that no vertex has two rows. A bad row is reported by the first
     offending row in file order; a malformed one by its file line, found
     by a second read only once numpy's single pass has rejected the file.
+    A pipe cannot be read twice: its text is read once, and both passes
+    read that copy.
     """
     with open(path) as fh, warnings.catch_warnings():
+        if not fh.seekable():
+            fh = io.StringIO(fh.read())
         if next(csv.reader([fh.readline()])) != ["vertex", "cluster"]:
             raise ValueError(f"{path}: expected header vertex,cluster")
         warnings.simplefilter("ignore", UserWarning)  # a file without rows
@@ -313,7 +316,7 @@ def read_assignment(g: Graph, path, k: int) -> np.ndarray:
             if rows.size and rows.shape[1] != 2:
                 raise ValueError(f"expected 2 columns, got {rows.shape[1]}")
         except ValueError as ex:
-            raise _malformed_row(path) or ValueError(f"{path}: {ex}") from None
+            raise _malformed_row(path, fh) or ValueError(f"{path}: {ex}") from None
     labels, clusters = rows.reshape(-1, 2).T
     # dense id of each label, looked up in id_map sorted (it need not be)
     order = np.argsort(g.id_map, kind="stable")

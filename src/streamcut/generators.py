@@ -9,11 +9,11 @@ import numpy as np
 
 from .graph import Graph
 
-# cells of the n x n square per block of rows (one row at least): the size of a
-# block's uniforms, probabilities and hit mask. It bounds memory only: each row
-# skips its cells on and below the diagonal by advancing the generator, so any
-# block size gives the same uniforms to the same pairs (n = 2000 is cut into 8
-# blocks).
+# cells of the n x n square per block of rows (one row at least): the size of the
+# draws buffer and of each block's temporaries; HP's n x n hit mask does not shrink
+# with it. It bounds memory only: each row skips its cells on and below the diagonal
+# by advancing the generator, so any block size gives the same uniforms to the same
+# pairs (n = 2000 is cut into 8 blocks).
 _PAIR_BLOCK = 1 << 19
 
 
@@ -68,17 +68,43 @@ class ClParams:
             raise ValueError("i0 must be >= 1")
 
 
+def _blocks(n: int):
+    """The [lo, hi) row blocks of the n x n square, _PAIR_BLOCK cells each."""
+    block = max(1, _PAIR_BLOCK // n)
+    return [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+
+
+def _row_draws(rng: np.random.Generator, n: int):
+    """
+    Yield (lo, hi, draws) for each row block: the uniforms of the cells
+    (lo + r, lo + 1 + c) at draws[r, c], for the rows [lo, hi) and the columns
+    lo+1..n-1 (no row of the block keeps a column <= lo); inf where c < r, below
+    the diagonal, which no draw fills and no hit test passes. Every block is
+    drawn into one buffer, so a block's draws are gone once the next is yielded.
+
+    They are the row-major stream over the n x n square: row i advances the
+    generator past the cells (i, 0..i), one 64-bit output each as random() would
+    take them, and draws the cells (i, i+1..n-1). So any _PAIR_BLOCK gives the
+    same uniforms to the same pairs.
+    """
+    blocks = _blocks(n)
+    buffer = np.empty((blocks[0][1] - blocks[0][0]) * (n - 1))
+    for lo, hi in blocks:
+        b, w = hi - lo, n - lo - 1
+        draws = buffer[:b * w].reshape(b, w)
+        draws[:, :b] = np.inf
+        for r in range(b):
+            rng.bit_generator.advance(lo + r + 1)
+            rng.random(out=draws[r, r:])
+        yield lo, hi, draws
+
+
 def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
     """
-    Join each pair i < j with probability prob(lo, hi)[i - lo, j - lo - 1];
-    prob(lo, hi) covers rows [lo, hi) and the columns lo+1..n-1 only, since
-    no row of the block can keep a column <= lo. Its entries are finite, so
-    the inf held by the undrawn cells below the diagonal never hits.
-
-    The uniforms are the row-major stream over the n x n square: row i
-    advances the generator past the cells (i, 0..i), one 64-bit output each
-    as random() would take them, and draws the cells (i, i+1..n-1). So any
-    _PAIR_BLOCK gives the same uniforms to the same pairs.
+    CL's sampler: join each pair i < j with probability
+    prob(lo, hi)[i - lo, j - lo - 1], which covers the cells of _row_draws and
+    is finite. It holds hit positions, not an n x n mask (CL(20000) would need
+    400 MB of it).
 
     Pass 1 keeps each block's hit positions and counts every row's upper
     (j > i) and lower (j < i) entries. Pass 2 places them at per-row fill
@@ -89,18 +115,11 @@ def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
     sorted with no sort. The pairs are distinct and loop-free: nothing is
     deduplicated.
     """
-    block = max(1, _PAIR_BLOCK // n)
     upper = np.zeros(n, dtype=np.int64)
     lower = np.zeros(n, dtype=np.int64)
     hits = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo, hi, draws in _row_draws(rng, n):
         b, w = hi - lo, n - lo - 1
-        draws = np.empty((b, w))  # cell (lo + r, lo + 1 + c) at [r, c]
-        draws[:, :b] = np.inf  # where c < r, which no draw fills
-        for r in range(b):
-            rng.bit_generator.advance(lo + r + 1)
-            rng.random(out=draws[r, r:])
         hit = draws < prob(lo, hi)
         flat = np.flatnonzero(hit)  # r*w + c
         upper[lo:hi] = np.diff(np.searchsorted(flat, np.arange(b + 1) * w))
@@ -120,8 +139,7 @@ def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
         indices[at] = flat + np.repeat(offset - np.arange(len(counts)) * span, counts)
         fill[rows] += counts
 
-    for lo, flat in zip(range(0, n, block), hits):
-        hi = min(lo + block, n)
+    for (lo, hi), flat in zip(_blocks(n), hits):
         b, w = hi - lo, n - lo - 1
         hit = np.zeros((b, w), dtype=bool)
         hit.ravel()[flat] = True
@@ -136,16 +154,52 @@ def _column_counts(hit: np.ndarray) -> np.ndarray:
     return hit.view(np.uint8).sum(axis=0, dtype=np.int32)
 
 
+def _hp_mask(rng: np.random.Generator, labels: np.ndarray, params: HpParams) -> np.ndarray:
+    """
+    The n x n bool mask of HP's pairs, symmetric: each row block writes its upper
+    cells from its draws and its lower cells as the same block transposed.
+
+    A draw hits below min(p, q) on every cell, and below max(p, q) on the cells
+    whose label agreement selects the larger one: the test draw < (p if same
+    label else q), without its float matrix.
+    """
+    n = params.n
+    low, high = min(params.p, params.q), max(params.p, params.q)
+    # the cells that take the larger of p and q: the same-label ones if p >= q
+    takes_high = np.equal if params.p >= params.q else np.not_equal
+    mask = np.zeros((n, n), dtype=bool)
+    for lo, hi, draws in _row_draws(rng, n):
+        hit = mask[lo:hi, lo + 1:]
+        np.less(draws, low, out=hit)
+        larger = takes_high(labels[lo:hi, None], labels[None, lo + 1:])
+        larger &= draws < high
+        hit |= larger
+        mask[lo + 1:, lo:hi] |= hit.T
+    return mask
+
+
 def generate_hp(params: HpParams):
-    """Sample HP(n,k,p,q); returns (Graph, ground-truth labels)."""
+    """
+    Sample HP(n,k,p,q); returns (Graph, ground-truth labels).
+
+    The CSR is read straight off the pairs' n x n mask (n^2 bytes): indptr is
+    the running sum of the row counts, and a row block's indices are one
+    flatnonzero of its rows, less r*n, so the rows come out sorted with no
+    scatter. The pairs are distinct and loop-free: nothing is deduplicated.
+    """
+    n = params.n
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    labels = rng.integers(params.k, size=params.n)
-
-    def prob(lo, hi):
-        same = labels[lo:hi, None] == labels[None, lo + 1:]
-        return np.where(same, params.p, params.q)
-
-    return _sample_graph(rng, params.n, prob), labels
+    labels = rng.integers(params.k, size=n)
+    mask = _hp_mask(rng, labels, params)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(np.count_nonzero(mask), dtype=np.int64)
+    for lo, hi in _blocks(n):
+        flat = np.flatnonzero(mask[lo:hi])  # r*n + j
+        ends = np.searchsorted(flat, np.arange(1, hi - lo + 1) * n)  # rows' ends in flat
+        indptr[lo + 1:hi + 1] = indptr[lo] + ends
+        np.subtract(flat, np.repeat(np.arange(hi - lo) * n, np.diff(ends, prepend=0)),
+                    out=indices[indptr[lo]:indptr[hi]])
+    return Graph(indptr=indptr, indices=indices, id_map=np.arange(n)), labels
 
 
 def cl_weights(params: ClParams) -> np.ndarray:

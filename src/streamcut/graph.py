@@ -34,7 +34,7 @@ class EmptyGraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """
     Simple undirected graph, frozen after construction (its arrays read-only).
@@ -44,7 +44,8 @@ class Graph:
     is the original label of dense vertex v (identity for generated
     graphs). No self loops, no duplicate edges, symmetric by
     construction, so n and m are read off the arrays. Its component
-    labels are found on first use and kept.
+    labels are found on first use and kept. Graphs compare and hash by
+    identity: equal arrays do not make two graphs one.
     """
 
     indptr: np.ndarray

@@ -1,9 +1,11 @@
 import collections
+import contextlib
 import csv
 import gc
 import hashlib
 import itertools
 import math
+import os
 import warnings
 import weakref
 from pathlib import Path
@@ -532,6 +534,30 @@ def test_malformed_assignment_row_names_its_file_line(tmp_path, row, newline):
     with pytest.raises(ValueError) as err:
         read_assignment(g, p, 2)
     assert str(err.value) == f"{p}:6: malformed row {row!r}"
+
+
+@contextlib.contextmanager
+def pipe_of(data: bytes):
+    """A pipe holding data, named /dev/fd/N as a shell's <(...) hands it over."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+def test_assignment_from_a_pipe_names_its_file_line():
+    """A pipe cannot be read twice, so its text is read once: a good one parses, and a
+    malformed row is named by its line as in a regular file, not by numpy's row."""
+    g = graph_from_pairs([(0, 1), (1, 2)])
+    with pipe_of(b"vertex,cluster\r\n0,0\r\n1,1\r\n2,0\r\n") as path:
+        assert np.array_equal(read_assignment(g, path, 2), [0, 1, 0])
+    with pipe_of(b"vertex,cluster\n0,0\n\n1,x\n2,0\n") as path:
+        with pytest.raises(ValueError) as err:
+            read_assignment(g, path, 2)
+    assert str(err.value) == f"{path}:4: malformed row '1,x'"
 
 
 @pytest.mark.parametrize("id_map", [[10, 1000, 2**40, 2**40 + 1, 7],

@@ -109,16 +109,36 @@ def test_row_blocks_equal_full_square_draws(params, rows):
         assert_same_build(sample(params), reference_sample(params))
 
 
-def test_hp_build_holds_at_most_one_and_a_half_csrs():
-    """The tracemalloc peak of one HP(5000) build, about 1.3 times its CSR (110 MiB):
-    the hit positions and one block beside the CSR, where a key sort held two CSRs."""
+def traced_peak(make):
+    """(tracemalloc peak of make(), its result)."""
     tracemalloc.start()
     try:
-        g, _ = generate_hp(HpParams(5000, 4, 0.8, 0.5, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        made = make()
+        return tracemalloc.get_traced_memory()[1], made
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (g.indptr.nbytes + g.indices.nbytes)
+
+
+def csr_bytes(g):
+    return g.indptr.nbytes + g.indices.nbytes
+
+
+def test_hp_build_holds_at_most_one_and_a_half_csrs():
+    """The tracemalloc peak of one HP(5000) build, about 1.3 times its CSR (110 MiB):
+    the n x n hit mask (24 MiB) and one row block beside the CSR, where a key sort
+    held two CSRs."""
+    peak, (g, _) = traced_peak(lambda: generate_hp(HpParams(5000, 4, 0.8, 0.5, seed=1)))
+    assert peak <= 1.5 * csr_bytes(g)
+
+
+def test_sparse_hp_build_holds_its_mask():
+    """HP(5000, 50, .3, 0) has 1.2 MiB of CSR, so the n^2-byte mask (24 MiB) is most
+    of its peak (29 MiB): the price of reading the rows off a mask. Bounded by the
+    mask, two blocks of draws and 1.5 CSRs."""
+    params = HpParams(5000, 50, 0.3, 0.0, seed=1)
+    peak, (g, _) = traced_peak(lambda: generate_hp(params))
+    assert csr_bytes(g) < params.n ** 2 // 16
+    assert peak <= params.n ** 2 + 2 * 8 * generators._PAIR_BLOCK + 1.5 * csr_bytes(g)
 
 
 @pytest.mark.parametrize("params", list(GOLDEN_MULTI_BLOCK), ids=["hp2000", "cl3000"])

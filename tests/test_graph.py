@@ -153,6 +153,15 @@ def test_graph_is_its_three_arrays():
     assert (g.n, g.m) == (3, 2)
 
 
+def test_graphs_compare_and_hash_by_identity():
+    """Two builds of the same edges are two graphs: == is a bool, not an array
+    comparison that raises, and a graph can key a dict."""
+    a, b = (from_edges(np.array([[0, 1], [1, 2]])) for _ in range(2))
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    keyed = {a: "a", b: "b"}
+    assert keyed[a] == "a" and keyed[b] == "b" and hash(a) == hash(a)
+
+
 def test_n_and_m_are_the_array_lengths(tmp_path):
     """Every way a graph is made: n and m are Python ints equal to the array lengths."""
     p = tmp_path / "g.txt"
