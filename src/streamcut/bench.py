@@ -276,10 +276,12 @@ def _run_instance(spec: BenchSpec, gi: int, directive: tuple, kis, sis, cells: d
 
 def write_assignment(g: Graph, assignment: np.ndarray, path) -> None:
     """Assignment CSV with original vertex labels: header vertex,cluster; CRLF rows."""
+    labels = g.id_map.tolist()
+    rows = labels * 2  # label, cluster, label, cluster, ...: one % formats them all
+    rows[0::2], rows[1::2] = labels, assignment.tolist()  # a length mismatch raises
     with open(path, "w", newline="") as fh:
         fh.write("vertex,cluster\r\n")
-        fh.writelines(f"{v},{c}\r\n"
-                      for v, c in zip(g.id_map.tolist(), assignment.tolist(), strict=True))
+        fh.write(("%d,%d\r\n" * len(labels)) % tuple(rows))
 
 
 def _malformed_row(path, fh) -> ValueError | None:

@@ -27,7 +27,7 @@ READS_OBJECTIVE = frozenset(h for h, (_, term, _) in _RULES.items() if term == "
 TIE_POLICIES = ("lowest_index", "min_load")
 _FREE = np.iinfo(np.int64).max  # mark of a vertex outside the stream (or placed, for t/lt/et)
 BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
-MIN_BLOCK = 64  # arrivals a window needs for that (32 entries each); fewer count one by one
+MIN_BLOCK = 32  # arrivals a window needs for that (64 entries each); fewer read a table row
 
 
 def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) -> np.ndarray:
@@ -137,24 +137,24 @@ class PartitionRun:
 
     def _counts(self, owner, u, cu, b0: int, b: int):
         """Neighbour counts of a block of b arrivals from its _earlier gather: base[j, i] counts
-        block[j]'s neighbours in S_i at the block start, placed[j] those placed when it arrives;
-        once block[q] goes to S_c, each row in later[starts[q]:starts[q + 1]] gains one at c."""
+        block[j]'s neighbours in S_i at the block start; once block[q] goes to S_c, each row in
+        later[starts[q]:starts[q + 1]] gains one at c."""
         k = self.k
         before = cu >= 0
         base = np.bincount(owner[before] * k + cu[before], minlength=b * k).reshape(b, k)
         base = base.astype(np.float64)  # so the score runs on one dtype; counts < 2**53
         q = self._mark[u[~before]] - (k + b0)  # the earlier neighbour's place in the block
         order = q.argsort()
-        return (base, np.bincount(owner, minlength=b).tolist(), owner[~before][order].tolist(),
+        return (base, owner[~before][order].tolist(),
                 np.searchsorted(q[order], np.arange(b + 1)).tolist())
 
     def _assign(self, run: np.ndarray) -> None:
         """Assign a checked stream, distinct ids in [0, n), in order."""
-        k = self.k
+        k, snap = self.k, self.snapshot
         self.stats.neighbor_scans = int(self._degrees[run].sum())
         if self._signal is None:  # hash: the seeded draws in arrival order
-            self.snapshot.assignment[run] = self.rng.integers(k, size=len(run))
-            recount(self.snapshot)
+            snap.assignment[run] = self.rng.integers(k, size=len(run))
+            recount(snap)
             return
         self._mark[run] = np.arange(k, k + len(run))
         if self._signal == "triangles":  # blocks whose arrivals gather <= SPAN entries
@@ -167,51 +167,67 @@ class PartitionRun:
                 tri, pairs, counts = self._block_triangles(run[lo:hi], lo)
                 self._steps(run[lo:hi].tolist(), counts, tri, pairs)
                 self._mark[run[lo:hi]] = _FREE  # placed
-            return
-        # a block: the arrivals whose running total of degree + 1 ends in one BLOCK
-        # window; under MIN_BLOCK arrivals (a dense graph's) they count one by one, as a
-        # block's (B, k) counts and later-neighbour lists cost more than B bincounts there
+        else:
+            self._neighbour_windows(run)
+        g = self.graph  # the cut: the edges among placed vertices, less the interior ones
+        if snap.assigned_count == g.n:
+            edges = g.m
+        else:  # a prefix stream
+            placed = snap.assignment >= 0
+            edges = int(np.count_nonzero(placed[g.indices] & placed.repeat(self._degrees))) // 2
+        snap.cut_edges = edges - int(snap.cluster_internal_edges.sum())
+
+    def _neighbour_windows(self, run: np.ndarray) -> None:
+        """The neighbour rules' stream in BLOCK windows: a window of MIN_BLOCK arrivals or
+        more is a block. The arrivals of a shorter one (a dense graph's) each read their
+        counts off the run's (n, k) table of placed neighbours, built only for them, and
+        push their own adjacency list into it, as do the blocks before them."""
         size = np.bincount(np.cumsum(self._degrees[run] + 1) // BLOCK)
+        hi = np.cumsum(size)
         long = size >= MIN_BLOCK
-        hi = np.cumsum(size)[long]
+        # the last window is short as the stream ends there; one by one, it would make
+        # every block before it push
+        long[-1:] |= long.any()
+        single = (size > 0) & ~long
+        if single.any():
+            self._table = np.zeros((self.graph.n, self.k), dtype=np.int32)
+        last = hi[single].max(initial=0)  # the end of the last window counted one by one
         at = 0
-        for b0, b1 in zip((hi - size[long]).tolist(), hi.tolist()):
+        for b0, b1 in zip((hi - size)[long].tolist(), hi[long].tolist()):
             if at < b0:
                 self._steps(run[at:b0].tolist())
             block = run[b0:b1]
             self._steps(block.tolist(), self._counts(*self._earlier(block, b0), b0, b1 - b0))
+            if b1 < last:  # an arrival after the block reads the table
+                owner, u = self._adjacency(block)
+                cells = u * self.k + self.snapshot.assignment[block][owner]
+                np.add.at(self._table.reshape(-1), cells, np.int32(1))
             at = b1
-        self._steps(run[at:].tolist())
+        if at < len(run):
+            self._steps(run[at:].tolist())
 
     def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
-        """The per-vertex step: count the neighbours' clusters (a row of the block's
-        _counts, or one gather), score, pick, commit. Nothing else writes the snapshot in a
-        run: its counters are Python ints until the end, and charge[i] is load[|S_i|]."""
+        """The per-vertex step: read the neighbours' clusters (a row of the block's _counts
+        or of the run's table), score, pick, commit. Nothing else writes the snapshot in a
+        run but the cut, derived at its end: the counters are Python ints until the end of
+        the call, and charge[i] is load[|S_i|]."""
         snap = self.snapshot
         k, op, load, config = self.k, self._op, self._load, self.config
         assignment, charge = snap.assignment, load[snap.cluster_vertex_counts]
         sizes, internal = snap.cluster_vertex_counts.tolist(), snap.cluster_internal_edges.tolist()
         surplus = self._signal == "surplus"
         if block is None:
-            indptr, indices = self.graph.indptr, self.graph.indices
+            indptr, indices, table = self.graph.indptr, self.graph.indices, self._table
+            one = np.int32(1)  # with a Python 1, add.at leaves its fast path
         else:
-            base, nplaced, later, lstarts = block
+            base, later, lstarts = block
         min_load = self.tie_policy == "min_load"
         starts, pu, pw = pairs or (None,) * 3
         # no triangle at the block start and none closed in it: every cluster scores 0 or
         # -0.0 (t's load is zeros, lt/et's finite), so all k tie and the pick is by load alone
         zero = (~tri.any(axis=1)).tolist() if pairs else ()
-        cut = 0
         for j, v in enumerate(vertices):
-            if block is None:
-                nbr = indices[indptr[v]:indptr[v + 1]]
-                slots = assignment[nbr]
-                slots += 1  # slot 0 counts the unplaced neighbours
-                counts = np.bincount(slots, minlength=k + 1)
-                placed = len(nbr) - counts.item(0)
-                counts = counts[1:]
-            else:
-                counts, placed = base[j], nplaced[j]
+            counts = table[v] if block is None else base[j]
             closed = ()  # the clusters of the triangles v closes inside the block
             if pairs and starts[j + 1] > starts[j]:
                 cu = assignment[pu[starts[j]:starts[j + 1]]]
@@ -230,18 +246,17 @@ class PartitionRun:
                 c = int(scores.argmax())  # lowest index among ties
                 if min_load and scores[::-1].argmax() != k - 1 - c:  # tie: lowest least loaded
                     c = min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
-            inside = int(counts.item(c))
             assignment[v] = c
             sizes[c] += 1
             charge[c] = load[sizes[c]]
-            internal[c] += inside
-            cut += placed - inside
-            if block is not None:
+            internal[c] += int(counts.item(c))
+            if block is None:  # push: v's neighbours gain one placed neighbour in S_c
+                np.add.at(table[:, c], indices[indptr[v]:indptr[v + 1]], one)
+            else:
                 for t in later[lstarts[j]:lstarts[j + 1]]:  # few: cheaper one by one
                     base[t, c] += 1
         snap.cluster_vertex_counts[:] = sizes
         snap.cluster_internal_edges[:] = internal
-        snap.cut_edges += cut
 
 
 def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,

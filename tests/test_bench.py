@@ -489,6 +489,20 @@ def test_write_assignment_bytes(tmp_path):
     assert p.read_bytes() == b"vertex,cluster\r\n7,2\r\n100,0\r\n1099511627776,1\r\n"
 
 
+def test_write_assignment_matches_one_row_at_a_time(tmp_path):
+    """The one-% write gives the bytes of an f-string per row, for labels up to 2**62."""
+    labels = np.random.default_rng(3).integers(-2**62, 2**62, size=(500, 2), endpoint=True)
+    labels[:2] = [[2**62, -2**62], [0, 1]]
+    g = from_edges(labels)
+    a = np.random.default_rng(4).integers(0, 5, size=g.n)
+    p = tmp_path / "assign.csv"
+    write_assignment(g, a, p)
+    rows = "".join(f"{v},{c}\r\n" for v, c in zip(g.id_map.tolist(), a.tolist()))
+    assert p.read_bytes() == ("vertex,cluster\r\n" + rows).encode()
+    with pytest.raises(ValueError):
+        write_assignment(g, a[1:], tmp_path / "short.csv")
+
+
 def test_assignment_validation(tmp_path):
     g = graph_from_pairs([(0, 1), (1, 2)])
     p = tmp_path / "assign.csv"

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut import graph
 from streamcut.graph import from_edges
-from streamcut.objective import (ObjectiveConfig, SnapshotError, build_snapshot, delta_g,
-                                 marginal_cost, recount)
+from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
+                                 build_snapshot, delta_g, marginal_cost, recount)
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
                                    partition_stream)
 from streamcut import partitioner
@@ -514,27 +514,104 @@ def test_golden_traces_across_triangle_blocks(graph, label):
     assert trace_digest(graph, label) == BLOCK_TRACES[graph, label]
 
 
+NEIGHBOUR_LABELS = ("fennel", "fennel/interior_edge", "ldg", "edg", "dg", "nn", "balanced")
+
+
+def record_steps(monkeypatch):
+    """The engine's calls of the step, in order: the block size, or None for arrivals that
+    read the table, with their number."""
+    calls = []
+    steps = PartitionRun._steps
+    monkeypatch.setattr(PartitionRun, "_steps", lambda run, vertices, block=None, *rest:
+                        calls.append((None if block is None else len(vertices), len(vertices)))
+                        or steps(run, vertices, block, *rest))
+    return calls
+
+
 @pytest.mark.parametrize("bound, minimum",
-                         [(1, 1), (512, 2), (partitioner.BLOCK, partitioner.MIN_BLOCK)])
+                         [(1, 1), (512, 2), (partitioner.BLOCK, 2 * partitioner.MIN_BLOCK),
+                          (partitioner.BLOCK, partitioner.MIN_BLOCK)])
 def test_neighbour_blocks_leave_every_trace_unchanged(monkeypatch, bound, minimum):
-    """Blocks of one arrival, blocks of a few, and the default split (blocks on
-    cl2000, single arrivals on hp600) all give the BLOCK_TRACES."""
+    """Blocks of one arrival, blocks of a few, the default split (blocks alone on cl2000;
+    on hp600, whose windows hold about MIN_BLOCK arrivals, single arrivals under a random
+    order and both kinds under BFS) and a split that needs twice MIN_BLOCK arrivals for a
+    block all give the BLOCK_TRACES. Under the latter cl2000 reads table rows too, and
+    hp600 nothing else."""
     default = (bound, minimum) == (partitioner.BLOCK, partitioner.MIN_BLOCK)
+    doubled = minimum == 2 * partitioner.MIN_BLOCK
     monkeypatch.setattr(partitioner, "BLOCK", bound)
     monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
-    blocks = []
-    counts = PartitionRun._counts
-    monkeypatch.setattr(PartitionRun, "_counts", lambda run, owner, u, cu, b0, b:
-                        blocks.append(b) or counts(run, owner, u, cu, b0, b))
+    calls = record_steps(monkeypatch)
     for graph_name in ("cl2000", "hp600"):
-        for label in ("fennel", "fennel/interior_edge", "ldg", "edg", "dg", "nn", "balanced"):
+        for label in NEIGHBOUR_LABELS:
             assert trace_digest(graph_name, label) == BLOCK_TRACES[graph_name, label], label
-        if default:
-            assert bool(blocks) == (graph_name == "cl2000") and min(blocks, default=64) >= 64
+        blocks = [b for b, _ in calls if b is not None]
+        singles = sum(size for b, size in calls if b is None)
+        if doubled:
+            assert singles and bool(blocks) == (graph_name == "cl2000")
+            assert min(blocks, default=minimum) >= minimum
+        elif default:
+            assert bool(singles) == (graph_name == "hp600") and bool(blocks)
+            assert min(blocks) >= minimum or graph_name == "hp600"  # its last window is short
         else:
-            assert 1 <= min(blocks) and (max(blocks) > 1) == (bound > 1)
+            assert not singles and 1 <= min(blocks) and (max(blocks) > 1) == (bound > 1)
             assert max(blocks) <= bound
-        blocks.clear()
+        calls.clear()
+
+
+def mixed_graph():
+    """A sparse part (0..999, mean degree about 8) and a dense one (1000..1099, about 75),
+    joined by 200 edges; its stream runs half the sparse part, the dense part, then the
+    other half, so under the default split blocks come before and after table arrivals."""
+    rng = np.random.default_rng(11)
+    sparse = rng.integers(0, 1000, size=(4000, 2))
+    dense = 1000 + np.argwhere(np.triu(rng.random((100, 100)) < 0.75, 1))
+    across = np.column_stack([rng.integers(0, 1000, 200), rng.integers(1000, 1100, 200)])
+    g = from_edges(np.concatenate([sparse, dense, across]), id_map=np.arange(1100))
+    order = rng.permutation(1000)
+    seq = np.concatenate([order[:500], 1000 + rng.permutation(100), order[500:]])
+    return g, StreamPlan("random", 11, seq)
+
+
+def test_mixed_runs_equal_all_blocks_and_all_table_rows(monkeypatch):
+    """The default split of the mixed stream pushes blocks that table arrivals come after;
+    it gives the same run as all blocks (no table) and as all table arrivals."""
+    g, plan = mixed_graph()
+    calls = record_steps(monkeypatch)
+    digests = {}
+    for minimum in (partitioner.MIN_BLOCK, 1, g.n + 1):
+        monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
+        for label, tie, nu in itertools.product(NEIGHBOUR_LABELS, TIE_POLICIES, (math.inf, 1.1)):
+            heuristic, cfg = GOLDEN_CONFIGS[label]
+            run = PartitionRun(g, 4, heuristic, replace(cfg, nu=nu).resolve(g, 4), seed=5,
+                               tie_policy=tie)
+            run._assign(np.asarray(plan.sequence))
+            assert ("_table" in vars(run)) == (minimum != 1)
+            ref = build_snapshot(g, run.snapshot.assignment, 4)
+            assert run.snapshot.cut_edges == ref.cut_edges
+            assert np.array_equal(run.snapshot.cluster_internal_edges, ref.cluster_internal_edges)
+            digests.setdefault((label, tie, nu), set()).add(run_digest(run.snapshot, run.stats))
+            kinds = [key for key, _ in itertools.groupby(b is None for b, _ in calls)]
+            # the default split: blocks, table arrivals after them, and blocks again
+            assert kinds == {1: [False], g.n + 1: [True]}.get(minimum, [False, True, False])
+            calls.clear()
+    assert all(len(d) == 1 for d in digests.values())
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_derived_cut_equals_a_recount(heuristic):
+    """The cut derived at the end of a run equals recount's, on a prefix stream and on a
+    full stream over a graph with isolated vertices."""
+    g = random_gnp(60, 0.03, seed=2)
+    assert (g.degrees == 0).any()
+    seq = make_stream(g, "random", seed=2).sequence
+    for plan in (StreamPlan("random", 2, seq[:37]), StreamPlan("random", 2, seq)):
+        snap, _ = partition_stream(g, plan, 3, heuristic, CFG, seed=2)
+        ref = PartitionSnapshot(g, 3)
+        ref.assignment[:] = snap.assignment
+        recount(ref)
+        assert snap.cut_edges == ref.cut_edges
+        assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
@@ -562,11 +639,16 @@ def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
 
 
 def test_hash_builds_no_per_vertex_tables():
+    """Nor does a neighbour run whose arrivals all fall in blocks (cl2000, random order)."""
     g = random_gnp(60, 0.2, seed=8)
     run = PartitionRun(g, 4, "hash", CFG.resolve(g, 4), seed=1)
     run._assign(np.arange(g.n))
-    assert not {"_mark", "_load", "_indptr"} & set(vars(run))
+    assert not {"_mark", "_load", "_indptr", "_table"} & set(vars(run))
     assert run.snapshot.assigned_count == g.n
+    g, k = golden_graph("cl2000")
+    run = PartitionRun(g, k, "fennel", CFG.resolve(g, k), seed=3)
+    run._assign(np.asarray(make_stream(g, "random", seed=3).sequence))
+    assert "_table" not in vars(run) and run.snapshot.assigned_count == g.n
 
 
 def reference_scores(heuristic, signal, sizes, internal, cfg, n, k):
