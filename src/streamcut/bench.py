@@ -208,7 +208,9 @@ def _instance(kind: str, params: dict, text: dict[str, str], k: int, seed: int,
         gk = k if params["k"] == MATCH else params["k"]
         g, _ = generate_hp(HpParams(**{**params, "k": gk}, seed=seed))
         return g, f"hp(n={text['n']},k={gk},p={text['p']},q={text['q']})"
-    return generate_cl(ClParams(**params, seed=seed)), f"cl(n={text['n']},delta={text['delta']})"
+    written = "".join(f",{key}={text[key]}" for key in ("avg_degree", "i0") if key in text)
+    return (generate_cl(ClParams(**params, seed=seed)),
+            f"cl(n={text['n']},delta={text['delta']}{written})")
 
 
 def run_bench(spec: BenchSpec):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, from_edges
 
 # cells of the n x n square per block of rows (one row at least): the size of the
 # draws buffer and of each block's temporaries; HP's n x n hit mask does not shrink
@@ -99,61 +99,6 @@ def _row_draws(rng: np.random.Generator, n: int):
         yield lo, hi, draws
 
 
-def _sample_graph(rng: np.random.Generator, n: int, prob) -> Graph:
-    """
-    CL's sampler: join each pair i < j with probability
-    prob(lo, hi)[i - lo, j - lo - 1], which covers the cells of _row_draws and
-    is finite. It holds hit positions, not an n x n mask (CL(20000) would need
-    400 MB of it).
-
-    Pass 1 keeps each block's hit positions and counts every row's upper
-    (j > i) and lower (j < i) entries. Pass 2 places them at per-row fill
-    pointers, block by block: the block's lower entries, read off its
-    transposed hits, then its upper entries. A block adds lower entries only
-    to rows past its first, so each row gets all its lower entries, in
-    order, before its own block places its upper ones: the rows come out
-    sorted with no sort. The pairs are distinct and loop-free: nothing is
-    deduplicated.
-    """
-    upper = np.zeros(n, dtype=np.int64)
-    lower = np.zeros(n, dtype=np.int64)
-    hits = []
-    for lo, hi, draws in _row_draws(rng, n):
-        b, w = hi - lo, n - lo - 1
-        hit = draws < prob(lo, hi)
-        flat = np.flatnonzero(hit)  # r*w + c
-        upper[lo:hi] = np.diff(np.searchsorted(flat, np.arange(b + 1) * w))
-        lower[lo + 1:] += _column_counts(hit)
-        hits.append(flat.astype(np.int32) if b * w < 2**31 else flat)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(upper + lower, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    fill = indptr[:-1].copy()
-
-    def place(first, counts, flat, span, offset):
-        """Append the sorted positions flat = s*span + x, counted by s, to the rows
-        first + s as the entries offset + x."""
-        rows = slice(first, first + len(counts))
-        at = np.repeat(fill[rows] - np.cumsum(counts) + counts, counts)
-        at += np.arange(len(flat))
-        indices[at] = flat + np.repeat(offset - np.arange(len(counts)) * span, counts)
-        fill[rows] += counts
-
-    for (lo, hi), flat in zip(_blocks(n), hits):
-        b, w = hi - lo, n - lo - 1
-        hit = np.zeros((b, w), dtype=bool)
-        hit.ravel()[flat] = True
-        place(lo + 1, _column_counts(hit), np.flatnonzero(hit.T), b, lo)  # c*b + r
-        place(lo, upper[lo:hi], flat, w, lo + 1)
-    return Graph(indptr=indptr, indices=indices, id_map=np.arange(n))
-
-
-def _column_counts(hit: np.ndarray) -> np.ndarray:
-    """np.count_nonzero(hit, axis=0) of a bool hit, a few times faster: its bytes
-    summed as integers."""
-    return hit.view(np.uint8).sum(axis=0, dtype=np.int32)
-
-
 def _hp_mask(rng: np.random.Generator, labels: np.ndarray, params: HpParams) -> np.ndarray:
     """
     The n x n bool mask of HP's pairs, symmetric: each row block writes its upper
@@ -226,16 +171,21 @@ def cl_weights(params: ClParams) -> np.ndarray:
 
 
 def generate_cl(params: ClParams) -> Graph:
-    """Sample CL(n, delta) with pair probability min(1, w_i*w_j/W)."""
+    """
+    Sample CL(n, delta) with pair probability min(1, w_i*w_j/W). A row block's
+    hits, at r*(n - lo - 1) + c in its draws, are the pairs (lo + r, lo + 1 + c),
+    distinct and loop-free; from_edges sorts their keys into the CSR.
+    """
+    n = params.n
     w = cl_weights(params)
     total = w.sum()
     rng = np.random.Generator(np.random.PCG64(params.seed))
-
-    # no min(1, .): a uniform u < 1 is below w_i*w_j/W exactly when it is
-    # below min(1, w_i*w_j/W)
-    def prob(lo, hi):
+    pairs = []
+    for lo, hi, draws in _row_draws(rng, n):
+        # no min(1, .): a uniform u < 1 is below w_i*w_j/W exactly when it is
+        # below min(1, w_i*w_j/W); the inf below the diagonal is below neither
         p = np.outer(w[lo:hi], w[lo + 1:])
         p /= total
-        return p
-
-    return _sample_graph(rng, params.n, prob)
+        r, c = np.divmod(np.flatnonzero(draws < p), n - lo - 1)
+        pairs.append(np.column_stack([lo + r, lo + 1 + c]))
+    return from_edges(np.concatenate(pairs), id_map=np.arange(n))

@@ -436,7 +436,7 @@ def test_bench_retries_a_shared_run_that_failed(tmp_path):
 
 # CSV rows of test_bench_csv_names_and_values without runtime_ms; a change
 # to any value, name or row order shows here
-BENCH_CSV_SHA256 = "8f703a464e3591a7df089f8dff99c1713035350ddd4ebe2c38570022605df424"
+BENCH_CSV_SHA256 = "58056135d3c5665610210faead6a07b4ea3545af38c2ee3f2569566398cec3d2"
 
 
 def test_bench_csv_names_and_values(tmp_path):
@@ -450,10 +450,35 @@ def test_bench_csv_names_and_values(tmp_path):
     run_bench(parse_bench_spec(p))
     rows = read_csv(out)
     assert {r[0] for r in rows[1:]} == {"hp(n=40,k=2,p=.8,q=0.10)", "hp(n=40,k=3,p=.8,q=0.10)",
-                                        "cl(n=50,delta=2.50)"}
+                                        "cl(n=50,delta=2.50,avg_degree=4)"}
     rt = CSV_COLUMNS.index("runtime_ms")
     stable = "\n".join(",".join(r[:rt] + r[rt + 1:]) for r in rows)
     assert hashlib.sha256(stable.encode()).hexdigest() == BENCH_CSV_SHA256
+
+
+def test_cl_names_keep_written_avg_degree_and_i0(tmp_path):
+    """CL directives that differ only in avg_degree or i0 are different graphs:
+    each gets its own name, so aggregate_rows never averages them together. A
+    directive that leaves them out keeps the name n and delta alone."""
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    p.write_text("graph = cl:n=300,delta=2.5,avg_degree=4\n"
+                 "graph = cl:n=300,delta=2.5,avg_degree=12\n"
+                 "graph = cl:n=300,delta=2.5,avg_degree=12,i0=3\n"
+                 "graph = cl:n=300,delta=2.5\n"
+                 f"k = 2\nheuristic = fennel\nseeds = 1 2\nout = {out}\n")
+    run_bench(parse_bench_spec(p))
+    rows = [dict(zip(CSV_COLUMNS, r)) for r in read_csv(out)[1:]]
+    names = ["cl(n=300,delta=2.5,avg_degree=4)", "cl(n=300,delta=2.5,avg_degree=12)",
+             "cl(n=300,delta=2.5,avg_degree=12,i0=3)", "cl(n=300,delta=2.5)"]
+    assert [r["graph"] for r in rows if r["seed"].isdigit()] == [x for x in names for _ in "12"]
+    means = [r for r in rows if r["seed"] == "mean"]
+    assert [r["graph"] for r in means] == names
+    # each mean is over its own graph's two runs: avg_degree 4 against 12 triples m
+    runs = {x: [float(r["m"]) for r in rows if r["graph"] == x and r["seed"].isdigit()]
+            for x in names}
+    assert [float(r["m"]) for r in means] == pytest.approx([np.mean(runs[x]) for x in names])
+    assert float(means[1]["m"]) > 2 * float(means[0]["m"])
 
 
 def test_bench_path_graph_round_trip(tmp_path):

@@ -28,9 +28,11 @@ GOLDEN_MULTI_BLOCK = {
 
 def reference_sample(params):
     """
-    The edge-list sampler the direct CSR build replaced: probabilities and
-    comparisons over each whole (block, n) draw, the upper triangle masked
-    after, its pairs stacked into an edge list and built by from_edges.
+    A sampler written apart from the generators: probabilities and comparisons
+    over each whole (block, n) draw, the upper triangle masked after, its pairs
+    stacked into an edge list and built by from_edges. HP's CSR is read off its
+    hit mask and CL's pairs are taken per block of upper cells, so any error in
+    their row blocks shows against it.
     """
     n = params.n
     rng = np.random.Generator(np.random.PCG64(params.seed))
@@ -139,6 +141,17 @@ def test_sparse_hp_build_holds_its_mask():
     peak, (g, _) = traced_peak(lambda: generate_hp(params))
     assert csr_bytes(g) < params.n ** 2 // 16
     assert peak <= params.n ** 2 + 2 * 8 * generators._PAIR_BLOCK + 1.5 * csr_bytes(g)
+
+
+def test_dense_cl_build_holds_a_few_csrs():
+    """CL(3000, 2.1, avg 300, i0 1) has 3.55 MiB of CSR and peaks at 22 MiB: one
+    block's draws and probabilities beside the pairs so far, then from_edges's
+    edge list and its 2m sorted keys. Bounded by three blocks of floats and four
+    CSRs."""
+    params = ClParams(3000, 2.1, avg_degree=300.0, i0=1, seed=0)
+    peak, g = traced_peak(lambda: generate_cl(params))
+    assert csr_bytes(g) > 3 * 2**20
+    assert peak <= 3 * 8 * generators._PAIR_BLOCK + 4 * csr_bytes(g)
 
 
 @pytest.mark.parametrize("params", list(GOLDEN_MULTI_BLOCK), ids=["hp2000", "cl3000"])
