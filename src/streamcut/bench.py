@@ -7,7 +7,7 @@ import itertools
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,8 +77,11 @@ class BenchSpec:
             seen = set()
             for x in values:  # a repeat would run and count the same runs twice
                 same = x
-                if key == "graph":  # by typed params: p=0.5 and p=.5 are one graph
-                    kind, params, _ = _parse_graph_spec(x)  # raises on malformed entries
+                if key == "graph":  # by typed params, defaults filled in: p=0.5 and p=.5
+                    kind, params, _ = _parse_graph_spec(x)  # are one graph, and so are
+                    if kind in _GRAPH_PARAMS:  # avg_degree=10 and no avg_degree written
+                        defaults = fields(_GRAPH_PARAMS[kind][2])
+                        params = {f.name: f.default for f in defaults} | params
                     same = kind, *sorted(params.items())
                 if same in seen:
                     raise BenchSpecError(f"repeated {key} value {x!r}")

@@ -1,7 +1,6 @@
 """Vertex arrival orders for the streaming setting: random, BFS, DFS."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +40,11 @@ def _linked(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.nda
 def _walk(g: Graph, rng: np.random.Generator, kind: str) -> np.ndarray:
     """
     A "bfs" or "dfs" walk (scipy's breadth_first_order or depth_first_order, loaded
-    here, not on import) over each component
-    from a start drawn as a full scan draws it: the rng.integers(#unvisited)-th
-    unvisited vertex in index order. Unvisited vertices are counted per block of
-    isqrt(n), so a cumsum finds the block and a scan of it the vertex.
+    here, not on import) over each component. The first start is rng.integers(n);
+    then one rng.permutation(n) ranks the vertices, and every other component
+    starts at its lowest-ranked vertex, the components going in rank order. The
+    lowest-ranked vertex of a set is uniform over it, so each restart is uniform
+    over the vertices unvisited at that point, as with a fresh draw per restart.
 
     One walk from extra vertex n, whose row lists the starts, covers every
     component. A stable sort by start rank puts the components one after
@@ -56,23 +56,11 @@ def _walk(g: Graph, rng: np.random.Generator, kind: str) -> np.ndarray:
     from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
     ncomp, comp = g.components
-    members = np.argsort(comp, kind="stable")  # component c is members[bounds[c]:bounds[c + 1]]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(comp))])
-    width = max(1, math.isqrt(g.n))
-    count = np.bincount(np.arange(g.n) // width)
-    visited = np.zeros(g.n, dtype=bool)
-    starts = []
-    for _ in range(ncomp):
-        ends = np.cumsum(count)
-        r = int(rng.integers(int(ends[-1])))
-        b = int(np.searchsorted(ends, r, side="right"))
-        lo = b * width
-        starts.append(lo + int(np.flatnonzero(~visited[lo:lo + width])[r - ends[b] + count[b]]))
-        c = comp[starts[-1]]
-        done = members[bounds[c]:bounds[c + 1]]
-        visited[done] = True
-        count -= np.bincount(done // width, minlength=len(count))
-    rank = np.argsort(comp[starts])  # of each component among the starts
+    first = int(rng.integers(g.n))
+    perm = rng.permutation(g.n)
+    place = np.unique(comp[perm], return_index=True)[1]  # each component's lowest rank
+    starts = perm[place]
+    starts[comp[first]], place[comp[first]] = first, -1
     size = len(g.indices) + ncomp  # int32 if csr_matrix casts to it, DFS's linked rows included
     dtype = np.int32 if 2 * (g.n + size) < 2 ** 31 else np.int64
     indices = np.concatenate([g.indices, starts], dtype=dtype)
@@ -84,7 +72,7 @@ def _walk(g: Graph, rng: np.random.Generator, kind: str) -> np.ndarray:
     walk = depth_first_order if kind == "dfs" else breadth_first_order
     order = walk(adj, g.n, return_predecessors=False)
     order = order[order < g.n]
-    return order[np.argsort(rank[comp[order]], kind="stable")].astype(np.int64)
+    return order[np.argsort(place[comp[order]], kind="stable")].astype(np.int64)
 
 
 def make_stream(g: Graph, order_kind: str, seed: int) -> StreamPlan:
@@ -92,8 +80,9 @@ def make_stream(g: Graph, order_kind: str, seed: int) -> StreamPlan:
     Deterministic arrival sequence over all vertices of g.
 
     random: Fisher-Yates shuffle. bfs/dfs: traversal from a uniformly
-    random start, neighbors in ascending index order, restarting from a
-    uniformly random unvisited vertex while any remain.
+    random start, neighbors in ascending index order, restarting while any
+    vertex is unvisited from the lowest-ranked unvisited vertex of one
+    random permutation, so each restart is uniform over the unvisited.
     """
     if g.n < 1:
         raise ValueError("empty graph has no stream order")

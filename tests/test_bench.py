@@ -117,12 +117,15 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = {heuristic}\n
     ({"extra": "graph = hp:n=20,k=2,p=0.5,q=0.1"},
      "repeated graph value 'hp:n=20,k=2,p=0.5,q=0.1'"),
     ({"extra": "graph = hp:n=20,k=2,p=.5,q=0.1"}, "repeated graph value 'hp:n=20,k=2,p=.5,q=0.1'"),
+    ({"graph": "cl:n=300,delta=2.5,avg_degree=10", "extra": "graph = cl:n=300,delta=2.5"},
+     "repeated graph value 'cl:n=300,delta=2.5'"),
     ({"extra": "out = no/such/dir/res.csv"}, "'no/such/dir/res.csv'"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
         "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
         "cl_avg_degree", "k_repeat", "gamma_repeat", "order_repeat", "heuristic_repeat",
-        "seeds_repeat", "graph_repeat", "graph_repeat_typed", "out_dir_missing"])
+        "seeds_repeat", "graph_repeat", "graph_repeat_typed", "graph_repeat_default",
+        "out_dir_missing"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):

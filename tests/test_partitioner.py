@@ -397,25 +397,25 @@ GOLDEN_TRACES = {
     ("cl", "hash"):
         "687097666a6299189863d083314ad35ad1848d4ba73b636598f594d65bd207bc",
     ("cl", "balanced"):
-        "65e906bd980d7f8b1ef14667d2348377f99e10cbbae559c726514b08fa9055d1",
+        "2ec0561defe7e4766428e1e780fd6e6256c3ade6e4bcbf8cd154d0377a8b8db3",
     ("cl", "dg"):
-        "eed731daaef158f417ad9fb1a122979249ec21e331cb54cc9edfecf3b6ad8c1f",
+        "c9d8e306be93fdbcf577c2e05d5da8e5d85100ce4ecd6c08aee57c247c0fafab",
     ("cl", "ldg"):
-        "a77ee35b436425f344856b937f349f8d75b612e75c7243d55c982b45c8817893",
+        "6fa0df1f5b7ef789845597afa4d249a5cb6d54259db6cda261cbd4d78e37b947",
     ("cl", "edg"):
-        "e44876f0addccb3ad72207f31bf467a90806ccc588c173a05efe1d2c58dc7f83",
+        "036bfc89c31902d6daa12bb0050a6be98aec5ce6063271516b922a638713de82",
     ("cl", "t"):
-        "940ce037f3af333168db21f65f315f3ac9ff68cfe9f977470ead0c63b8c49ebc",
+        "838846081bc31edfe69dcc1d98502de5b44a04036b2287759c41180e0646d047",
     ("cl", "lt"):
-        "1bc3c59d3684a47523dd97beef5925650f5cf785f3634fae5e9b210c6b2c18ab",
+        "a681797e319f69c2c8d1586a7bee5dcc5dbb779a4532403bf173d139211804d1",
     ("cl", "et"):
-        "1bc3c59d3684a47523dd97beef5925650f5cf785f3634fae5e9b210c6b2c18ab",
+        "a681797e319f69c2c8d1586a7bee5dcc5dbb779a4532403bf173d139211804d1",
     ("cl", "nn"):
-        "33d3515531ddf01bdeba1e63ae2c01c9d2230438b5cec1964b094387764a2404",
+        "f9e59c3f9ece7224ceb1e4dbeb3487ac29a5d24d1370032e1c8c53b8ef92863a",
     ("cl", "fennel/discrete"):
-        "d90b157e964d33b23b3cf707031d5a14ee532f702cf8e3874113a20df38d85e0",
+        "b3d4f728a0fa1777fab990457ed4205434c6b5f24321396216edda4ed14c10d3",
     ("cl", "fennel/interior_edge"):
-        "623ea3832c81d4cc5da160006e277ebb4fe8ebe15f483d0360d098e712c8314f",
+        "c9b954be24419d34ef453b1561b45cf899af848b5ba6c3dcca4c81aabfc73ea2",
 }
 
 
@@ -427,13 +427,13 @@ GOLDEN_TRACES = {
 # whose rows are too long for a block, one arrival at a time.
 BLOCK_TRACES = {
     ("cl2000", "t"):
-        "4a5387ec75cdfbcedfc90204ff27866739d827156b3f656904f64af05a0f3154",
+        "ae22b457094979f6b4899845f6cc8975991f0ab600d28892ee1efb1b09c7ec92",
     ("cl2000", "lt"):
-        "0d3d09bf72f961997efdfbadf9a78fc085147b18a2b1398914073809b0c09cd8",
+        "4cbd88fcebfc417c6e39d38e2891b9e16311ccf4ccef4de8e6091015a6a3eb5c",
     ("cl2000", "et"):
-        "0d3d09bf72f961997efdfbadf9a78fc085147b18a2b1398914073809b0c09cd8",
+        "4cbd88fcebfc417c6e39d38e2891b9e16311ccf4ccef4de8e6091015a6a3eb5c",
     ("cl2000", "hash"):
-        "cf1020c8f4887318c74ce92dca1f062f351de1992a4bb600097d60718c3a5cc1",
+        "48011488e797d59c33f298214b6dc65a61c42cd9b9713a84a247bb61487b919e",
     ("hp600", "t"):
         "048f79812b5ac21b50e3ade0b40f0ac2c8d5963e89d6d66598afce19cbf93013",
     ("hp600", "lt"):
@@ -443,19 +443,19 @@ BLOCK_TRACES = {
     ("hp600", "hash"):
         "0e99573915a63624702d32fa87a51dc9f70bb1074440f8e9b64e15966925cbee",
     ('cl2000', 'fennel'):
-        "4e88871b009022219048285b0ad6b1f1c318e785a722bc3d3dbfea05158660c9",
+        "fef87a56a450280932c43ded282784d982dfbf5531854989778078f0ce496683",
     ('cl2000', 'fennel/interior_edge'):
-        "5b1b3d4329140cc79c2c4503f419675668888539f5f25c7b16e837e25c3e246b",
+        "802b0207622cf8a620cf9b762c9d5bf46646580ab4ebfa1ab2bd4c851f712ab9",
     ('cl2000', 'ldg'):
-        "4771bb692ea1ade117d96323e1d810165a2a3ad31ea9da9ec29b7c178e1c7dce",
+        "cba95470271a58290501452b6ff9cb9eb599022b87b3559824428390f3aa2da3",
     ('cl2000', 'edg'):
-        "d2720ece308fd685329ea02a0edd7562d809aeb514ee95e1e853684d8e8c504c",
+        "e5d8f3939308fda0e219fa455ac82137b3cb2058e9ffd6631eced9675a34b23b",
     ('cl2000', 'dg'):
-        "f42697a332313267b872a9145be78fae1b9b58321af152452af0e5838928295f",
+        "74ceb2bc28efd6f76917981f74b2ee24c1ca14ceabdc59df3e8b9d678db6bc3c",
     ('cl2000', 'nn'):
-        "96ed2eeda535796f864d14f6fb880a0e374bc376685bb1b28d529392a01e65e5",
+        "0c98e7b53162811dea2d8de29bfe67e9f2855a5dd1aaae0e6031c911920478cb",
     ('cl2000', 'balanced'):
-        "e07304d31d92d64ff8178c19daa6906ea40317f8b8ec49273bef5a4f21d7fcde",
+        "8125d7c2141f9c31e584241c0a50260109cd2490747fa77c87bcc5f8f053880c",
     ('hp600', 'fennel'):
         "f63b98f934a5efbba8f01cee01a0489e2458b105b454d37a8ece319a495d28c5",
     ('hp600', 'fennel/interior_edge'):

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from collections import deque
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcut.graph import from_edges
+from streamcut.generators import ClParams, generate_cl
+from streamcut.graph import from_edges, restrict_to_lcc
 from streamcut.stream import ORDER_KINDS, make_stream
 from conftest import graph_from_pairs, random_gnp, several_components
 
@@ -72,18 +74,20 @@ def test_unknown_order_rejected(triangle):
         make_stream(triangle, "sorted", seed=0)
 
 
-def pick_start_by_scan(rng, visited):
-    """Reference restart: the draw-th unvisited vertex of a full scan."""
-    unvisited = np.flatnonzero(~visited)
-    return int(unvisited[rng.integers(len(unvisited))])
+def starts_by_rank(n, seed):
+    """Reference restarts: rng.integers(n), then every vertex in the order of one
+    rng.permutation(n); a walk begins at each of them still unvisited when reached."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    first = int(rng.integers(n))
+    return [first, *rng.permutation(n).tolist()]
 
 
 def bfs_by_queue(g, seed):
     """Reference BFS: a FIFO queue over ascending neighbours."""
-    rng = np.random.Generator(np.random.PCG64(seed))
     seq, visited = [], np.zeros(g.n, dtype=bool)
-    while len(seq) < g.n:
-        start = pick_start_by_scan(rng, visited)
+    for start in starts_by_rank(g.n, seed):
+        if visited[start]:
+            continue
         visited[start] = True
         queue = deque([start])
         while queue:
@@ -97,11 +101,10 @@ def bfs_by_queue(g, seed):
 
 
 def dfs_by_scan(g, seed):
-    """Reference DFS: a stack, lowest-index neighbour first, full-scan restarts."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    """Reference DFS: a stack, lowest-index neighbour first, restarts by rank."""
     seq, visited = [], np.zeros(g.n, dtype=bool)
-    while len(seq) < g.n:
-        stack = [pick_start_by_scan(rng, visited)]
+    for start in starts_by_rank(g.n, seed):
+        stack = [start]
         while stack:
             v = stack.pop()
             if visited[v]:
@@ -165,3 +168,57 @@ def test_dfs_is_linear_on_a_large_star():
     start = int(seq[0])
     rest = np.delete(np.arange(1, leaves + 1), start - 1) if start else np.arange(1, leaves + 1)
     assert np.array_equal(seq, np.concatenate([[start], [0] if start else [], rest]))
+
+
+def test_disjoint_edges_are_ordered_in_linear_time():
+    """Restarts come from one permutation, not a draw per component: 100 000 disjoint
+    edges are ordered in some tens of milliseconds, each edge's ends one after the other."""
+    g = from_edges(np.random.default_rng(5).permutation(200_000).reshape(-1, 2))
+    comp = g.components[1]
+    for kind in ("bfs", "dfs"):
+        t0 = time.perf_counter()
+        seq = make_stream(g, kind, 0).sequence
+        assert time.perf_counter() - t0 < 0.5, kind
+        assert np.array_equal(comp[seq[0::2]], comp[seq[1::2]])
+
+
+def test_each_restart_is_uniform_over_the_unvisited_vertices():
+    """Components of 1, 2, 3 and 4 vertices, 10 000 seeds: given the components walked
+    so far, the next start is uniform over the vertices outside them (chi-square, summed
+    over every such history and restart)."""
+    from scipy.stats import chi2
+    g = from_edges(np.array([[0, 0], [1, 2], [3, 4], [4, 5], [6, 7], [7, 8], [8, 9]]))
+    comp = g.components[1]
+    counts = {}
+    for seed in range(10_000):
+        seq = make_stream(g, "bfs", seed).sequence
+        starts = seq[np.flatnonzero(np.r_[True, comp[seq[1:]] != comp[seq[:-1]]])]
+        for r, start in enumerate(starts):
+            done = frozenset(comp[starts[:r]].tolist())
+            counts.setdefault(done, np.zeros(g.n))[start] += 1
+    stat = dof = 0
+    for done, seen in counts.items():
+        free = ~np.isin(comp, list(done))
+        assert not seen[~free].any()
+        expected = seen.sum() / free.sum()
+        stat += ((seen[free] - expected) ** 2 / expected).sum()
+        dof += free.sum() - 1
+    assert len(counts) == 15 and chi2.sf(stat, dof) > 1e-3, (stat, dof)
+
+
+# sha256 of the BFS and DFS orders, seeds 0-2, on two connected graphs: a connected
+# graph is walked from its first draw, rng.integers(n), alone, so the permutation that
+# ranks the restarts changes none of these orders
+ONE_COMPONENT_ORDERS = "eeae4c697912e97ec8ea5649529acee3688b31ba2c2c86e1889f57dd70d83a6f"
+
+
+def test_one_component_orders_are_pinned():
+    h = hashlib.sha256()
+    lcc = restrict_to_lcc(generate_cl(ClParams(2000, 2.5, seed=4)))
+    path = from_edges(chain(1000))
+    for g in (lcc, path):
+        assert g.components[0] == 1
+        for kind in ("bfs", "dfs"):
+            for seed in range(3):
+                h.update(make_stream(g, kind, seed).sequence.astype("<i8").tobytes())
+    assert h.hexdigest() == ONE_COMPONENT_ORDERS
