@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .generators import ClParams, HpParams, generate_cl, generate_hp
+from .generators import ClParams, HpParams, cl_i0, generate_cl, generate_hp
 from .graph import Graph, load_edge_list
 from .metrics import (CSV_COLUMNS, RunResult, aggregate_rows, error_row, evaluate_run,
                       measures, result_to_row)
@@ -82,6 +82,8 @@ class BenchSpec:
                     if kind in _GRAPH_PARAMS:  # avg_degree=10 and no avg_degree written
                         defaults = fields(_GRAPH_PARAMS[kind][2])
                         params = {f.name: f.default for f in defaults} | params
+                        if kind == "cl":  # and no i0 and the one CL would pick
+                            params["i0"] = cl_i0(ClParams(**params))
                     same = kind, *sorted(params.items())
                 if same in seen:
                     raise BenchSpecError(f"repeated {key} value {x!r}")

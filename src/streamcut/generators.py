@@ -147,23 +147,27 @@ def generate_hp(params: HpParams):
     return Graph(indptr=indptr, indices=indices, id_map=np.arange(n)), labels
 
 
+def _cl_weights(params: ClParams, i0: int) -> np.ndarray:
+    """w_i = c*(i+i0)^(-1/(delta-1)), scaled to sum to n*avg_degree; NaN if it underflows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = (np.arange(params.n, dtype=np.float64) + i0) ** (-1.0 / (params.delta - 1.0))
+        return base * (params.n * params.avg_degree / base.sum())
+
+
+def cl_i0(params: ClParams) -> int:
+    """params.i0 if given, else the smallest i0 in [1, n) with w[0] <= sqrt(W), or n if
+    there is none: w[0] falls as i0 grows, so a bisection finds it."""
+    if params.i0 is not None:
+        return params.i0
+    root = np.sqrt(params.n * params.avg_degree)
+    return 1 + bisect.bisect_left(range(1, params.n), True,
+                                  key=lambda i: _cl_weights(params, i)[0] <= root)
+
+
 def cl_weights(params: ClParams) -> np.ndarray:
     """Expected-degree sequence for CL(n, delta); sums to n*avg_degree."""
-    exponent = -1.0 / (params.delta - 1.0)
-    target = params.n * params.avg_degree
-
-    def weights(i0: int) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN if the sum underflows
-            base = (np.arange(params.n, dtype=np.float64) + i0) ** exponent
-            return base * (target / base.sum())
-
-    i0 = params.i0
-    if i0 is None:
-        # w[0] falls as i0 grows: bisect for the smallest i0 in [1, n) with
-        # w[0] <= sqrt(W), or n if there is none
-        i0 = 1 + bisect.bisect_left(range(1, params.n), True,
-                                    key=lambda i: weights(i)[0] <= np.sqrt(target))
-    w = weights(i0)
+    i0 = cl_i0(params)
+    w = _cl_weights(params, i0)
     if not np.isfinite(w).all():
         raise ValueError(f"delta={params.delta} is too close to 1: the weights "
                          f"(i + {i0}) ** (-1/(delta-1)) underflow")

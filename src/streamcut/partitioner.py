@@ -27,7 +27,7 @@ READS_OBJECTIVE = frozenset(h for h, (_, term, _) in _RULES.items() if term == "
 TIE_POLICIES = ("lowest_index", "min_load")
 _FREE = np.iinfo(np.int64).max  # mark of a vertex outside the stream (or placed, for t/lt/et)
 BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
-MIN_BLOCK = 32  # arrivals a window needs for that (64 entries each); fewer read a table row
+MIN_BLOCK = 32  # mean arrivals a run's windows need for that; a denser run reads a table
 
 
 def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) -> np.ndarray:
@@ -178,33 +178,20 @@ class PartitionRun:
         snap.cut_edges = edges - int(snap.cluster_internal_edges.sum())
 
     def _neighbour_windows(self, run: np.ndarray) -> None:
-        """The neighbour rules' stream in BLOCK windows: a window of MIN_BLOCK arrivals or
-        more is a block. The arrivals of a shorter one (a dense graph's) each read their
-        counts off the run's (n, k) table of placed neighbours, built only for them, and
-        push their own adjacency list into it, as do the blocks before them."""
-        size = np.bincount(np.cumsum(self._degrees[run] + 1) // BLOCK)
-        hi = np.cumsum(size)
-        long = size >= MIN_BLOCK
-        # the last window is short as the stream ends there; one by one, it would make
-        # every block before it push
-        long[-1:] |= long.any()
-        single = (size > 0) & ~long
-        if single.any():
+        """The neighbour rules' stream by one engine, chosen once from its mean entries per
+        arrival. If a BLOCK window would average under MIN_BLOCK arrivals (a dense graph),
+        each arrival reads its counts off the run's (n, k) table of placed neighbours and
+        pushes its own adjacency list into it; otherwise each BLOCK window is a block."""
+        ends = np.cumsum(self._degrees[run] + 1)  # the entries up to and with each arrival
+        if len(run) and ends[-1] * MIN_BLOCK > BLOCK * len(run):
             self._table = np.zeros((self.graph.n, self.k), dtype=np.int32)
-        last = hi[single].max(initial=0)  # the end of the last window counted one by one
-        at = 0
-        for b0, b1 in zip((hi - size)[long].tolist(), hi[long].tolist()):
-            if at < b0:
-                self._steps(run[at:b0].tolist())
+            self._steps(run.tolist())
+            return
+        size = np.bincount(ends // BLOCK)
+        hi = np.cumsum(size)
+        for b0, b1 in zip((hi - size)[size > 0].tolist(), hi[size > 0].tolist()):
             block = run[b0:b1]
             self._steps(block.tolist(), self._counts(*self._earlier(block, b0), b0, b1 - b0))
-            if b1 < last:  # an arrival after the block reads the table
-                owner, u = self._adjacency(block)
-                cells = u * self.k + self.snapshot.assignment[block][owner]
-                np.add.at(self._table.reshape(-1), cells, np.int32(1))
-            at = b1
-        if at < len(run):
-            self._steps(run[at:].tolist())
 
     def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
         """The per-vertex step: read the neighbours' clusters (a row of the block's _counts

@@ -17,7 +17,7 @@ import streamcut.bench as bench_mod
 from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              parse_bench_spec, read_assignment, run_bench,
                              write_assignment)
-from streamcut.generators import HpParams, generate_hp
+from streamcut.generators import ClParams, HpParams, cl_i0, cl_weights, generate_hp
 from streamcut.graph import from_edges, load_edge_list, save_edge_list
 from streamcut.metrics import (CSV_COLUMNS, aggregate_rows, error_row, evaluate_run,
                                result_to_row)
@@ -119,13 +119,15 @@ BAD_SPEC = "graph = {graph}\nk = {k}\nseeds = {seeds}\nheuristic = {heuristic}\n
     ({"extra": "graph = hp:n=20,k=2,p=.5,q=0.1"}, "repeated graph value 'hp:n=20,k=2,p=.5,q=0.1'"),
     ({"graph": "cl:n=300,delta=2.5,avg_degree=10", "extra": "graph = cl:n=300,delta=2.5"},
      "repeated graph value 'cl:n=300,delta=2.5'"),
+    ({"graph": "cl:n=300,delta=2.5", "extra": "graph = cl:n=300,delta=2.5,i0=8"},
+     "repeated graph value 'cl:n=300,delta=2.5,i0=8'"),
     ({"extra": "out = no/such/dir/res.csv"}, "'no/such/dir/res.csv'"),
 ], ids=["size_mode", "nu_nan", "alpha_negative", "gamma_nan", "hp_n_text", "hp_unknown_key",
         "lcc_typo", "repeated_k", "k_text", "k_zero", "seeds_negative", "hp_p_range",
         "hp_match_q_range", "hp_match_n_zero", "cl_n_one", "cl_delta_one", "cl_delta_nan",
         "cl_avg_degree", "k_repeat", "gamma_repeat", "order_repeat", "heuristic_repeat",
         "seeds_repeat", "graph_repeat", "graph_repeat_typed", "graph_repeat_default",
-        "out_dir_missing"])
+        "graph_repeat_chosen_i0", "out_dir_missing"])
 def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     """Each bad value is a BenchSpecError naming the file, raised before any build."""
     def no_build(*args, **kwargs):
@@ -140,6 +142,17 @@ def test_bad_spec_values_fail_at_parse(tmp_path, monkeypatch, fields, names):
     with pytest.raises(BenchSpecError) as err:
         parse_bench_spec(p)
     assert str(p) in str(err.value) and names in str(err.value)
+
+
+def test_cl_i0_other_than_the_chosen_one_is_another_graph(tmp_path):
+    """cl_weights picks i0 = 8 for CL(300, 2.5): a directive writing i0=7 beside one that
+    writes none is a second graph, and both build what cl_weights gives them."""
+    assert cl_i0(ClParams(300, 2.5)) == 8
+    assert np.array_equal(cl_weights(ClParams(300, 2.5)), cl_weights(ClParams(300, 2.5, i0=8)))
+    p = tmp_path / "two.bench"
+    p.write_text(BAD_SPEC.format(graph="cl:n=300,delta=2.5", k="2", seeds="1",
+                                 heuristic="fennel", extra="graph = cl:n=300,delta=2.5,i0=7"))
+    assert parse_bench_spec(p).graphs == ["cl:n=300,delta=2.5", "cl:n=300,delta=2.5,i0=7"]
 
 
 def test_bench_opens_its_csv_before_the_first_run(tmp_path, monkeypatch):

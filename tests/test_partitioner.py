@@ -529,16 +529,15 @@ def record_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("bound, minimum",
-                         [(1, 1), (512, 2), (partitioner.BLOCK, 2 * partitioner.MIN_BLOCK),
-                          (partitioner.BLOCK, partitioner.MIN_BLOCK)])
+                         [(1, 0), (512, 2), (partitioner.BLOCK, partitioner.MIN_BLOCK),
+                          (partitioner.BLOCK, partitioner.BLOCK + 1)])
 def test_neighbour_blocks_leave_every_trace_unchanged(monkeypatch, bound, minimum):
-    """Blocks of one arrival, blocks of a few, the default split (blocks alone on cl2000;
-    on hp600, whose windows hold about MIN_BLOCK arrivals, single arrivals under a random
-    order and both kinds under BFS) and a split that needs twice MIN_BLOCK arrivals for a
-    block all give the BLOCK_TRACES. Under the latter cl2000 reads table rows too, and
-    hp600 nothing else."""
-    default = (bound, minimum) == (partitioner.BLOCK, partitioner.MIN_BLOCK)
-    doubled = minimum == 2 * partitioner.MIN_BLOCK
+    """Blocks of one arrival, blocks of a few, the default choice (blocks alone on cl2000,
+    about 11 entries per arrival; table rows alone on hp600, about 69) and table rows alone
+    on both (no window holds BLOCK + 1 arrivals) all give the BLOCK_TRACES. Each run takes
+    one engine."""
+    table = {partitioner.MIN_BLOCK: {"hp600"},  # the graphs whose runs read table rows
+             partitioner.BLOCK + 1: {"cl2000", "hp600"}}.get(minimum, set())
     monkeypatch.setattr(partitioner, "BLOCK", bound)
     monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
     calls = record_steps(monkeypatch)
@@ -546,23 +545,18 @@ def test_neighbour_blocks_leave_every_trace_unchanged(monkeypatch, bound, minimu
         for label in NEIGHBOUR_LABELS:
             assert trace_digest(graph_name, label) == BLOCK_TRACES[graph_name, label], label
         blocks = [b for b, _ in calls if b is not None]
-        singles = sum(size for b, size in calls if b is None)
-        if doubled:
-            assert singles and bool(blocks) == (graph_name == "cl2000")
-            assert min(blocks, default=minimum) >= minimum
-        elif default:
-            assert bool(singles) == (graph_name == "hp600") and bool(blocks)
-            assert min(blocks) >= minimum or graph_name == "hp600"  # its last window is short
+        if graph_name in table:  # one table call per run, over its whole stream
+            assert not blocks and {size for _, size in calls} == {golden_graph(graph_name)[0].n}
         else:
-            assert not singles and 1 <= min(blocks) and (max(blocks) > 1) == (bound > 1)
-            assert max(blocks) <= bound
+            assert blocks and len(blocks) == len(calls) and max(blocks) <= bound
+            assert (max(blocks) > 1) == (bound > 1)
         calls.clear()
 
 
 def mixed_graph():
     """A sparse part (0..999, mean degree about 8) and a dense one (1000..1099, about 75),
     joined by 200 edges; its stream runs half the sparse part, the dense part, then the
-    other half, so under the default split blocks come before and after table arrivals."""
+    other half: a dense burst inside a sparse stream."""
     rng = np.random.default_rng(11)
     sparse = rng.integers(0, 1000, size=(4000, 2))
     dense = 1000 + np.argwhere(np.triu(rng.random((100, 100)) < 0.75, 1))
@@ -574,28 +568,44 @@ def mixed_graph():
 
 
 def test_mixed_runs_equal_all_blocks_and_all_table_rows(monkeypatch):
-    """The default split of the mixed stream pushes blocks that table arrivals come after;
-    it gives the same run as all blocks (no table) and as all table arrivals."""
+    """The default run of the mixed stream takes blocks alone, as its mean arrival holds
+    about 15 entries; it gives the same run as forced blocks and as forced table rows."""
     g, plan = mixed_graph()
     calls = record_steps(monkeypatch)
     digests = {}
-    for minimum in (partitioner.MIN_BLOCK, 1, g.n + 1):
+    for minimum in (partitioner.MIN_BLOCK, 0, g.n + 1):
         monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
         for label, tie, nu in itertools.product(NEIGHBOUR_LABELS, TIE_POLICIES, (math.inf, 1.1)):
             heuristic, cfg = GOLDEN_CONFIGS[label]
             run = PartitionRun(g, 4, heuristic, replace(cfg, nu=nu).resolve(g, 4), seed=5,
                                tie_policy=tie)
             run._assign(np.asarray(plan.sequence))
-            assert ("_table" in vars(run)) == (minimum != 1)
+            table = minimum == g.n + 1
+            assert ("_table" in vars(run)) == table
             ref = build_snapshot(g, run.snapshot.assignment, 4)
             assert run.snapshot.cut_edges == ref.cut_edges
             assert np.array_equal(run.snapshot.cluster_internal_edges, ref.cluster_internal_edges)
             digests.setdefault((label, tie, nu), set()).add(run_digest(run.snapshot, run.stats))
-            kinds = [key for key, _ in itertools.groupby(b is None for b, _ in calls)]
-            # the default split: blocks, table arrivals after them, and blocks again
-            assert kinds == {1: [False], g.n + 1: [True]}.get(minimum, [False, True, False])
+            assert {b is None for b, _ in calls} == {table}
             calls.clear()
     assert all(len(d) == 1 for d in digests.values())
+
+
+def test_a_dense_burst_in_a_sparse_stream_keeps_no_table():
+    """The mixed stream's dense burst fills BLOCK windows of under MIN_BLOCK arrivals, but
+    its run (a sparse majority) counts by blocks alone: no (n, k) table is allocated, and
+    the counters equal a rebuild."""
+    g, plan = mixed_graph()
+    seq = np.asarray(plan.sequence)
+    size = np.bincount(np.cumsum(g.degrees[seq] + 1) // partitioner.BLOCK)
+    assert (size[:-1] < partitioner.MIN_BLOCK).any()  # short windows before the last one
+    run = PartitionRun(g, 4, "fennel", CFG.resolve(g, 4), seed=5)
+    run._assign(seq)
+    assert "_table" not in vars(run)
+    ref = build_snapshot(g, run.snapshot.assignment, 4)
+    assert (run.snapshot.cut_edges, run.snapshot.assigned_count) == (ref.cut_edges, g.n)
+    assert np.array_equal(run.snapshot.cluster_vertex_counts, ref.cluster_vertex_counts)
+    assert np.array_equal(run.snapshot.cluster_internal_edges, ref.cluster_internal_edges)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
@@ -624,7 +634,7 @@ def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
     pos = np.argsort(plan.sequence)
     assert all(pos[g.neighbors(v)].min() < pos[v] for v in plan.sequence[1:])
     runs = []
-    for bound, minimum, span in ((1 << 12, 1, graph.SPAN), (1, 1, 1)):
+    for bound, minimum, span in ((1 << 12, 1, graph.SPAN), (1, 0, 1)):
         monkeypatch.setattr(partitioner, "BLOCK", bound)
         monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
         monkeypatch.setattr(graph, "SPAN", span)
