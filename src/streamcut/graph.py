@@ -108,13 +108,15 @@ def _run_starts(sorted_arr: np.ndarray) -> np.ndarray:
     return starts
 
 
-def spans(weights: np.ndarray):
-    """Consecutive [lo, hi) ranges of weights, each summing to at most SPAN or one item."""
-    ends, lo = np.cumsum(weights), 0
+def spans(weights: np.ndarray, bound: float | None = None):
+    """Consecutive [lo, hi) ranges of weights, each summing to at most bound (SPAN if None)
+    or one item."""
+    ends, lo, start, bound = np.cumsum(weights), 0, 0, SPAN if bound is None else bound
+    del weights  # only the running totals are read, so a caller's temporary is freed
     while lo < len(ends):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weights[lo] + SPAN, "right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, start + bound, "right")))
         yield lo, hi
-        lo = hi
+        lo, start = hi, ends[hi - 1]
 
 
 def gather(g: Graph, vertices: np.ndarray, lens: np.ndarray) -> np.ndarray:

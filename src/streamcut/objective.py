@@ -72,6 +72,8 @@ def resolve_alpha(g: Graph, k: int, gamma: float) -> float:
         raise ValueError("cannot scale alpha on a zero-vertex graph")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if g.m == 0:
+        raise ValueError("alpha 'auto' scales by m, and the graph has no edges: give alpha")
     return g.m * k ** (gamma - 1) / g.n ** gamma
 
 

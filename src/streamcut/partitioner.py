@@ -71,11 +71,11 @@ class PartitionRun:
         self.graph = g
         self.k = k
         self.heuristic = heuristic
-        self.config = config.resolve(g, k)
+        reads = heuristic in READS_OBJECTIVE
+        self.config = config.resolve(g, k) if reads else config  # no other rule reads it
         self.tie_policy = tie_policy
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._signal, term, self._op = _RULES[heuristic]
-        reads = heuristic in READS_OBJECTIVE
         if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
         self._degrees = g.degrees
@@ -100,13 +100,11 @@ class PartitionRun:
         keep = (cu >= 0) | (self._mark[u] < self.k + b0 + owner)
         return owner[keep], u[keep], cu[keep]
 
-    def _block_triangles(self, block: np.ndarray, b0: int):
-        """The triangle signal of a block of arrivals: tri[j, i] counts the edges among
-        block[j]'s neighbours both in S_i when the block started; pairs lists those
-        (u, w) where u arrived in the block before block[j] and w before u."""
-        n, k, b = self.graph.n, self.k, len(block)
-        mark = self._mark
-        owner, u, cu = self._earlier(block, b0)
+    def _block_triangles(self, b: int, owner, u, cu):
+        """The triangle signal of a block of b arrivals from its _earlier gather: tri[j, i]
+        counts the edges among block[j]'s neighbours both in S_i when the block started;
+        pairs lists those (u, w) where u arrived in the block before block[j] and w before u."""
+        n, k, mark = self.graph.n, self.k, self._mark
         keys = owner * n + u  # sorted: block[j]'s earlier neighbours, by j
         placed = cu >= 0
         mark[u[placed]] = cu[placed]  # below every position mark
@@ -132,8 +130,7 @@ class PartitionRun:
                     pairs.append((j[e], x[e], w))
         mark[u[placed]] = _FREE
         pj, pu, pw = (np.concatenate(p) for p in zip(*pairs)) if pairs else ((),) * 3
-        return (tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw),
-                self._counts(owner, u, cu, b0, b))
+        return tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw)
 
     def _counts(self, owner, u, cu, b0: int, b: int):
         """Neighbour counts of a block of b arrivals from its _earlier gather: base[j, i] counts
@@ -149,49 +146,41 @@ class PartitionRun:
                 np.searchsorted(q[order], np.arange(b + 1)).tolist())
 
     def _assign(self, run: np.ndarray) -> None:
-        """Assign a checked stream, distinct ids in [0, n), in order."""
-        k, snap = self.k, self.snapshot
-        self.stats.neighbor_scans = int(self._degrees[run].sum())
+        """Assign a checked stream, distinct ids in [0, n), in order, by blocks cut by spans:
+        for t/lt/et those whose arrivals, their earlier neighbours' lists and their rows of
+        counts hold <= SPAN entries; for the neighbour rules windows of <= BLOCK entries, or,
+        if a window would average under MIN_BLOCK arrivals (a dense graph), no block: each
+        arrival reads its counts off the run's (n, k) table and pushes its adjacency into it."""
+        k, snap, degrees = self.k, self.snapshot, self._degrees
+        self.stats.neighbor_scans = entries = int(degrees[run].sum())
         if self._signal is None:  # hash: the seeded draws in arrival order
             snap.assignment[run] = self.rng.integers(k, size=len(run))
             recount(snap)
             return
         self._mark[run] = np.arange(k, k + len(run))
-        if self._signal == "triangles":  # blocks whose arrivals gather <= SPAN entries
-            # sized by the neighbours' degrees too, which a BLOCK window ignores: 2-3x faster
-            volume = self._degrees[run] + float(k)  # and a row of the (B, k) counts
-            for lo, hi in spans(self._degrees[run]):
+        triangles = self._signal == "triangles"
+        if triangles:  # sized by the neighbours' degrees too: deg + k alone is 3.5-5x slower
+            volume = degrees[run] + float(k)
+            for lo, hi in spans(degrees[run]):
                 owner, u, _ = self._earlier(run[lo:hi], lo)
-                volume[lo:hi] += np.bincount(owner, self._degrees[u], hi - lo)
-            for lo, hi in spans(volume):
-                tri, pairs, counts = self._block_triangles(run[lo:hi], lo)
-                self._steps(run[lo:hi].tolist(), counts, tri, pairs)
-                self._mark[run[lo:hi]] = _FREE  # placed
-        else:
-            self._neighbour_windows(run)
-        g = self.graph  # the cut: the edges among placed vertices, less the interior ones
-        if snap.assigned_count == g.n:
-            edges = g.m
-        else:  # a prefix stream
-            placed = snap.assignment >= 0
-            edges = int(np.count_nonzero(placed[g.indices] & placed.repeat(self._degrees))) // 2
-        snap.cut_edges = edges - int(snap.cluster_internal_edges.sum())
-
-    def _neighbour_windows(self, run: np.ndarray) -> None:
-        """The neighbour rules' stream by one engine, chosen once from its mean entries per
-        arrival. If a BLOCK window would average under MIN_BLOCK arrivals (a dense graph),
-        each arrival reads its counts off the run's (n, k) table of placed neighbours and
-        pushes its own adjacency list into it; otherwise each BLOCK window is a block."""
-        ends = np.cumsum(self._degrees[run] + 1)  # the entries up to and with each arrival
-        if len(run) and ends[-1] * MIN_BLOCK > BLOCK * len(run):
-            self._table = np.zeros((self.graph.n, self.k), dtype=np.int32)
+                volume[lo:hi] += np.bincount(owner, degrees[u], hi - lo)
+            blocks = spans(volume)
+        elif (entries + len(run)) * MIN_BLOCK > BLOCK * len(run):  # a dense run: the table
+            self._table = np.zeros((self.graph.n, k), dtype=np.int32)
             self._steps(run.tolist())
-            return
-        size = np.bincount(ends // BLOCK)
-        hi = np.cumsum(size)
-        for b0, b1 in zip((hi - size)[size > 0].tolist(), hi[size > 0].tolist()):
-            block = run[b0:b1]
-            self._steps(block.tolist(), self._counts(*self._earlier(block, b0), b0, b1 - b0))
+            blocks = ()
+        else:
+            blocks = spans(degrees[run] + 1, BLOCK)
+        for lo, hi in blocks:
+            block = run[lo:hi]
+            owner, u, cu = self._earlier(block, lo)
+            tri = self._block_triangles(hi - lo, owner, u, cu) if triangles else ()
+            self._steps(block.tolist(), self._counts(owner, u, cu, lo, hi - lo), *tri)
+            self._mark[block] = _FREE  # placed
+        if snap.assigned_count == self.graph.n:  # the cut: every edge but the interior ones
+            snap.cut_edges = self.graph.m - int(snap.cluster_internal_edges.sum())
+        else:  # a prefix stream
+            recount(snap)
 
     def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
         """The per-vertex step: read the neighbours' clusters (a row of the block's _counts

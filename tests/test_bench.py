@@ -264,6 +264,25 @@ def test_bench_cl_with_underflowing_weights_gets_an_error_row(tmp_path):
     assert len(err) == 1 and "delta=1.002 is too close to 1" in err[0]["error"]
 
 
+def test_bench_on_an_edgeless_graph_names_alpha_auto_as_the_cause(tmp_path):
+    """Every row of an edgeless generated graph under alpha 'auto' fails with the message
+    naming m = 0, since evaluation reads alpha; with alpha given, every rule runs."""
+    out = tmp_path / "res.csv"
+    p = tmp_path / "spec.txt"
+    graphs = "graph = hp:n=20,k=2,p=0,q=0\ngraph = cl:n=50,delta=2.5,avg_degree=0.01\n"
+    for alpha, failed in (("auto", True), ("0.5", False)):
+        p.write_text(f"{graphs}k = 2\nseeds = 1\nheuristic = {' '.join(HEURISTICS)}\n"
+                     f"alpha = {alpha}\nout = {out}\n")
+        run_bench(parse_bench_spec(p))
+        rows = [r for r in (dict(zip(CSV_COLUMNS, r)) for r in read_csv(out)[1:])
+                if r["seed"] == "1"]  # not the mean and std rows
+        assert len(rows) == 2 * len(HEURISTICS)
+        assert all(r["m"] == "0" for r in rows if not failed)
+        errors = [r["error"] for r in rows]
+        assert all(("the graph has no edges: give alpha" in e) == failed for e in errors)
+        assert failed or not any(errors)
+
+
 def test_bench_hp_k_match_tracks_run_k(tmp_path):
     out = tmp_path / "res.csv"
     p = tmp_path / "spec.txt"

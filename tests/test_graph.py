@@ -304,6 +304,42 @@ def test_lcc_is_handed_its_one_component(g):
     assert not (got[1].flags.writeable or g.components[1].flags.writeable)
 
 
+@st.composite
+def weights_and_bound(draw):
+    """Weights from 0 to twice the bound (so some items exceed it alone), as ints or as
+    the floats triangle blocks use; the bound drawn, or None for graph.SPAN."""
+    bound = draw(st.one_of(st.none(), st.integers(1, 40)))
+    top = 2 * (graph.SPAN if bound is None else bound)
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(0, top)), max_size=60))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    return np.array(weights, dtype=dtype), bound
+
+
+@given(weights_and_bound())
+@settings(max_examples=300, deadline=None)
+def test_spans_tile_the_weights_in_maximal_ranges(case):
+    """The ranges tile [0, len) in order; each sums to at most the bound or is one item,
+    and each is maximal: the next item would take it over the bound."""
+    weights, bound = case
+    limit = graph.SPAN if bound is None else bound
+    ranges = list(graph.spans(weights, bound))
+    cuts = [0] + [hi for _, hi in ranges]
+    assert [lo for lo, _ in ranges] == cuts[:-1] and cuts[-1] == len(weights)
+    for lo, hi in ranges:
+        assert hi > lo and (weights[lo:hi].sum() <= limit or hi - lo == 1)
+        if hi < len(weights):
+            assert weights[lo:hi + 1].sum() > limit
+
+
+def test_spans_read_the_bound_at_call_time(monkeypatch):
+    """Without a bound, spans cut by graph.SPAN as it is when called."""
+    weights = np.array([1, 2, 1, 0, 5, 1])
+    monkeypatch.setattr(graph, "SPAN", 3)
+    assert list(graph.spans(weights)) == [(0, 2), (2, 4), (4, 5), (5, 6)]
+    assert list(graph.spans(weights, 4)) == [(0, 4), (4, 5), (5, 6)]
+    assert list(graph.spans(weights, 6)) == [(0, 4), (4, 6)]
+
+
 def test_lcc_tie_keeps_the_component_of_the_lowest_vertex():
     """Two largest components of equal size: the one holding dense vertex 0 is kept,
     as with the undirected labels."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcut import graph
+from streamcut.generators import HpParams, generate_hp
 from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
                                  build_snapshot, cost, delta_g, eval_f, eval_g,
                                  eval_g_shifted, eval_modularity_form,
@@ -30,6 +31,16 @@ def test_alpha_scaling_rule():
         g.m * 8 ** 0.5 / 50 ** 1.5)
     cfg = ObjectiveConfig(gamma=1.5).resolve(g, 8)
     assert cfg.alpha_value == resolve_alpha(g, 8, 1.5)
+
+
+def test_auto_alpha_on_an_edgeless_graph_names_the_cause():
+    """alpha 'auto' scales by m, so on a graph with no edges it would be 0, which a
+    config rejects; resolving it says why instead. An explicit alpha still resolves."""
+    g = generate_hp(HpParams(n=20, k=2, p=0.0, q=0.0))[0]
+    assert (g.n, g.m) == (20, 0)
+    with pytest.raises(ValueError, match="the graph has no edges: give alpha"):
+        ObjectiveConfig().resolve(g, 2)
+    assert ObjectiveConfig(alpha=0.5).resolve(g, 2).alpha_value == 0.5
 
 
 def test_alpha_must_be_resolved_before_use():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamcut.generators import ClParams, HpParams, generate_cl, generate_hp
 from streamcut import graph
-from streamcut.graph import from_edges
+from streamcut.graph import from_edges, spans
 from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
                                  build_snapshot, delta_g, marginal_cost, recount)
 from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
@@ -154,7 +154,7 @@ def brute_triangles(g, assignment, v, k):
 
 def triangle_counts(run, v):
     """t_{S_i}(v) under the run's current assignment: v as a block of one arrival."""
-    return run._block_triangles(np.array([v]), 0)[0][0]
+    return run._block_triangles(1, *run._earlier(np.array([v]), 0))[0][0]
 
 
 def place(run, vertices, clusters):
@@ -189,8 +189,8 @@ def test_triangle_counts_split_large_gathers(monkeypatch, bound):
     blocks = []
     block_triangles = PartitionRun._block_triangles
     monkeypatch.setattr(PartitionRun, "_block_triangles",
-                        lambda run, block, b0: blocks.append(len(block))
-                        or block_triangles(run, block, b0))
+                        lambda run, b, *gathered: blocks.append(b)
+                        or block_triangles(run, b, *gathered))
     assert np.array_equal(partition_stream(g, plan, 4, "lt", CFG, seed=1)[0].assignment, want)
     assert min(blocks) == 1 and (max(blocks) > 1) == (bound == 512)
     run = PartitionRun(g, 3, "t", CFG.resolve(g, 3), seed=0)
@@ -597,8 +597,8 @@ def test_a_dense_burst_in_a_sparse_stream_keeps_no_table():
     the counters equal a rebuild."""
     g, plan = mixed_graph()
     seq = np.asarray(plan.sequence)
-    size = np.bincount(np.cumsum(g.degrees[seq] + 1) // partitioner.BLOCK)
-    assert (size[:-1] < partitioner.MIN_BLOCK).any()  # short windows before the last one
+    size = np.diff([lo for lo, _ in spans(g.degrees[seq] + 1, partitioner.BLOCK)])
+    assert (size < partitioner.MIN_BLOCK).any()  # short windows before the last one
     run = PartitionRun(g, 4, "fennel", CFG.resolve(g, 4), seed=5)
     run._assign(seq)
     assert "_table" not in vars(run)
@@ -606,6 +606,24 @@ def test_a_dense_burst_in_a_sparse_stream_keeps_no_table():
     assert (run.snapshot.cut_edges, run.snapshot.assigned_count) == (ref.cut_edges, g.n)
     assert np.array_equal(run.snapshot.cluster_vertex_counts, ref.cluster_vertex_counts)
     assert np.array_equal(run.snapshot.cluster_internal_edges, ref.cluster_internal_edges)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_an_edgeless_graph_partitions_under_every_rule_that_reads_no_objective(heuristic):
+    """HP(20, 2, 0, 0) has no edges, so alpha 'auto' has nothing to scale by: fennel, the
+    one rule that reads it, fails naming the cause; every other rule partitions the graph
+    under the default config, with counters equal to a rebuild."""
+    g = generate_hp(HpParams(n=20, k=2, p=0.0, q=0.0))[0]
+    plan = make_stream(g, "random", seed=1)
+    if heuristic in partitioner.READS_OBJECTIVE:
+        with pytest.raises(ValueError, match="the graph has no edges: give alpha"):
+            partition_stream(g, plan, 2, heuristic, CFG, seed=1)
+        return
+    snap, _ = partition_stream(g, plan, 2, heuristic, CFG, seed=1)
+    ref = build_snapshot(g, snap.assignment, 2)
+    assert (snap.cut_edges, snap.assigned_count) == (ref.cut_edges, g.n) == (0, 20)
+    assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
+    assert not snap.cluster_internal_edges.any()
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
