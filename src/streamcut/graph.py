@@ -119,12 +119,13 @@ def spans(weights: np.ndarray, bound: float | None = None):
         lo, start = hi, ends[hi - 1]
 
 
-def gather(g: Graph, vertices: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The adjacency rows of vertices, whose degrees are lens, one after another."""
+def gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+           lens: np.ndarray) -> np.ndarray:
+    """The given rows of the CSR (indptr, indices), whose lengths are lens, one after another."""
     ends = np.cumsum(lens)
-    entries = (g.indptr[vertices] - ends + lens).repeat(lens)
+    entries = (indptr[rows] - ends + lens).repeat(lens)
     entries += np.arange(len(entries))
-    return g.indices[entries]
+    return indices[entries]
 
 
 def from_edges(edges: np.ndarray, id_map: np.ndarray | None = None) -> Graph:

@@ -25,8 +25,7 @@ HEURISTICS = tuple(_RULES)
 # nu cap, interior-edge delta_g); any other rule's run is the same under every config.
 READS_OBJECTIVE = frozenset(h for h, (_, term, _) in _RULES.items() if term == "marginal")
 TIE_POLICIES = ("lowest_index", "min_load")
-_FREE = np.iinfo(np.int64).max  # mark of a vertex outside the stream (or placed, for t/lt/et)
-BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted in one gather
+BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted together
 MIN_BLOCK = 32  # mean arrivals a run's windows need for that; a denser run reads a table
 
 
@@ -51,6 +50,24 @@ class StreamStats:
     runtime_ms: float = 0.0
     threshold_violations: int = 0  # kept at 0: with nu >= 1 some cluster is always under the cap
     neighbor_scans: int = 0
+
+
+def earlier_lists(g: Graph, seq: np.ndarray):
+    """The earlier-neighbour lists of the stream seq, as (pos, indptr, ids): pos[v] is v's
+    arrival position (len(seq) for a vertex outside the stream), and row p,
+    ids[indptr[p]:indptr[p + 1]], holds the neighbours of seq[p] that arrive before it, in
+    id order. Built from SPAN-bounded gathers, so no temporary spans the whole stream."""
+    pos = np.full(g.n, len(seq), dtype=np.int64)
+    pos[seq] = np.arange(len(seq))
+    lens, indptr, ids = g.degrees[seq], np.zeros(len(seq) + 1, dtype=np.int64), []
+    for lo, hi in spans(lens):
+        owner = np.arange(lo, hi).repeat(lens[lo:hi])
+        u = gather(g.indptr, g.indices, seq[lo:hi], lens[lo:hi])
+        keep = pos[u] < owner
+        ids.append(u[keep])
+        indptr[lo + 1:hi + 1] = np.bincount(owner[keep] - lo, minlength=hi - lo)
+    np.cumsum(indptr, out=indptr)
+    return pos, indptr, np.concatenate([g.indices[:0], *ids])  # [:0]: an empty stream's
 
 
 class PartitionRun:
@@ -82,101 +99,98 @@ class PartitionRun:
         if self._signal is not None:  # hash only draws
             cap = self.config.nu * g.n / k if reads else math.inf
             self._load = _load_table(term, self.config, g.n, k, cap)
-            # k + stream position of each arrival (a placed one is told by its cluster), else
-            # _FREE; _block_triangles marks a block's placed neighbours with their clusters
-            self._mark = np.full(g.n, _FREE, dtype=np.int64)
 
-    def _adjacency(self, vertices: np.ndarray, first: int = 0):
-        """(first + position in vertices, neighbour) of every adjacency entry of vertices."""
-        lens = self._degrees[vertices]
-        owner = np.arange(first, first + len(vertices)).repeat(lens)
-        return owner, gather(self.graph, vertices, lens)
-
-    def _earlier(self, block: np.ndarray, b0: int):
-        """(j, u, cluster of u) for each neighbour u of block[j] placed or arriving
-        before it; block[j] is at position b0 + j of the stream."""
-        owner, u = self._adjacency(block)
-        cu = self.snapshot.assignment[u]
-        keep = (cu >= 0) | (self._mark[u] < self.k + b0 + owner)
-        return owner[keep], u[keep], cu[keep]
-
-    def _block_triangles(self, b: int, owner, u, cu):
-        """The triangle signal of a block of b arrivals from its _earlier gather: tri[j, i]
-        counts the edges among block[j]'s neighbours both in S_i when the block started;
-        pairs lists those (u, w) where u arrived in the block before block[j] and w before u."""
-        n, k, mark = self.graph.n, self.k, self._mark
+    def _block_triangles(self, b: int, owner, u, cu, lists):
+        """The triangle signal of a block of b arrivals from its rows (j, u, cluster of u) of
+        the lists: tri[j, i] counts the edges among block[j]'s earlier neighbours both in S_i
+        when the block started; pairs lists those (x, w) where x arrived in the block before
+        block[j] and w before x."""
+        n, k, assignment = self.graph.n, self.k, self.snapshot.assignment
+        pos, indptr, ids = lists
         keys = owner * n + u  # sorted: block[j]'s earlier neighbours, by j
+        near = np.zeros(n, dtype=bool)  # every arrival's earlier neighbours
+        near[u] = True
         placed = cu >= 0
-        mark[u[placed]] = cu[placed]  # below every position mark
         tri = np.zeros(b * k, dtype=np.int64)
         pairs = []
-        # w closes (x, w) when placed before the block in x's cluster (such an
-        # edge is met from both ends), or, for x in the block, before x
-        for sel, closes in ((placed, np.equal), (~placed, np.less)):
-            j, x = owner[sel], u[sel]
-            cell = j * k + mark[x]  # tri's index for x before the block
-            for lo, hi in spans(self._degrees[x]):
-                e, w = self._adjacency(x[lo:hi], lo)
-                hit = closes(mark[w], mark[x[lo:hi]].repeat(self._degrees[x[lo:hi]]))
-                hit = hit.nonzero()[0]
-                e, w = e[hit], w[hit]
-                if b > 1:  # the marks span every arrival's neighbours: is w block[j]'s?
+        # x's earlier neighbour w, if block[j]'s too, closes (x, w) when x was placed before
+        # the block in w's cluster (so the edge is met once, from its later end), or when x
+        # arrived in the block
+        for sel in (placed, ~placed):
+            j, x, cx, rows = owner[sel], u[sel], cu[sel], pos[u[sel]]
+            lens = indptr[rows + 1] - indptr[rows]
+            for lo, hi in spans(lens):
+                w = gather(indptr, ids, rows[lo:hi], lens[lo:hi])
+                e = near[w].nonzero()[0]
+                w = w[e]
+                e = np.arange(lo, hi).repeat(lens[lo:hi])[e]
+                if sel is placed:
+                    hit = (assignment[w] == cx[e]).nonzero()[0]
+                    e, w = e[hit], w[hit]
+                if b > 1:  # near spans every arrival's neighbours: is w block[j]'s?
                     q = j[e] * n + w
                     hit = keys[np.searchsorted(keys, q).clip(max=len(keys) - 1)] == q
                     e, w = e[hit], w[hit]
-                if closes is np.equal:
-                    tri += np.bincount(cell[e], minlength=b * k)
+                if sel is placed:
+                    tri += np.bincount(j[e] * k + cx[e], minlength=b * k)
                 else:
                     pairs.append((j[e], x[e], w))
-        mark[u[placed]] = _FREE
         pj, pu, pw = (np.concatenate(p) for p in zip(*pairs)) if pairs else ((),) * 3
-        return tri.reshape(b, k) * 0.5, (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw)
+        return tri.reshape(b, k), (np.searchsorted(pj, np.arange(b + 1)).tolist(), pu, pw)
 
-    def _counts(self, owner, u, cu, b0: int, b: int):
-        """Neighbour counts of a block of b arrivals from its _earlier gather: base[j, i] counts
-        block[j]'s neighbours in S_i at the block start; once block[q] goes to S_c, each row in
-        later[starts[q]:starts[q + 1]] gains one at c."""
+    def _counts(self, owner, pu, cu, b0: int, b: int):
+        """Neighbour counts of a block of b arrivals at positions b0.. from its rows (j, position
+        of u, cluster of u) of the lists: base[j, i] counts block[j]'s neighbours in S_i at the
+        block start; once block[q] goes to S_c, each row in later[starts[q]:starts[q + 1]]
+        gains one at c."""
         k = self.k
         before = cu >= 0
         base = np.bincount(owner[before] * k + cu[before], minlength=b * k).reshape(b, k)
         base = base.astype(np.float64)  # so the score runs on one dtype; counts < 2**53
-        q = self._mark[u[~before]] - (k + b0)  # the earlier neighbour's place in the block
+        q = pu[~before] - b0  # the earlier neighbour's place in the block
         order = q.argsort()
         return (base, owner[~before][order].tolist(),
                 np.searchsorted(q[order], np.arange(b + 1)).tolist())
 
-    def _assign(self, run: np.ndarray) -> None:
+    def _assign(self, run: np.ndarray, lists=None) -> None:
         """Assign a checked stream, distinct ids in [0, n), in order, by blocks cut by spans:
         for t/lt/et those whose arrivals, their earlier neighbours' lists and their rows of
         counts hold <= SPAN entries; for the neighbour rules windows of <= BLOCK entries, or,
         if a window would average under MIN_BLOCK arrivals (a dense graph), no block: each
-        arrival reads its counts off the run's (n, k) table and pushes its adjacency into it."""
+        arrival reads its counts off the run's (n, k) table and pushes its adjacency into it.
+        A block reads its rows of earlier_lists: lists() gives them (partition_stream's memo,
+        its snapshot empty), else they are built here over the vertices the snapshot places
+        already, then run, so a placed vertex counts as arriving before every arrival."""
         k, snap, degrees = self.k, self.snapshot, self._degrees
         self.stats.neighbor_scans = entries = int(degrees[run].sum())
         if self._signal is None:  # hash: the seeded draws in arrival order
             snap.assignment[run] = self.rng.integers(k, size=len(run))
             recount(snap)
             return
-        self._mark[run] = np.arange(k, k + len(run))
         triangles = self._signal == "triangles"
-        if triangles:  # sized by the neighbours' degrees too: deg + k alone is 3.5-5x slower
-            volume = degrees[run] + float(k)
-            for lo, hi in spans(degrees[run]):
-                owner, u, _ = self._earlier(run[lo:hi], lo)
-                volume[lo:hi] += np.bincount(owner, degrees[u], hi - lo)
-            blocks = spans(volume)
-        elif (entries + len(run)) * MIN_BLOCK > BLOCK * len(run):  # a dense run: the table
+        if not triangles and (entries + len(run)) * MIN_BLOCK > BLOCK * len(run):  # the table
             self._table = np.zeros((self.graph.n, k), dtype=np.int32)
             self._steps(run.tolist())
-            blocks = ()
         else:
-            blocks = spans(degrees[run] + 1, BLOCK)
-        for lo, hi in blocks:
-            block = run[lo:hi]
-            owner, u, cu = self._earlier(block, lo)
-            tri = self._block_triangles(hi - lo, owner, u, cu) if triangles else ()
-            self._steps(block.tolist(), self._counts(owner, u, cu, lo, hi - lo), *tri)
-            self._mark[block] = _FREE  # placed
+            placed = np.flatnonzero(snap.assignment >= 0)
+            first = len(placed)  # the row of run[0]
+            lists = lists() if lists else earlier_lists(self.graph, np.concatenate([placed, run]))
+            pos, indptr, ids = lists
+            if triangles:  # sized by the neighbours' degrees too: deg + k alone is 3.5-5x slower
+                owner = np.arange(len(run)).repeat(np.diff(indptr[first:]))
+                volume = degrees[run] + float(k)
+                volume += np.bincount(owner, degrees[ids[indptr[first]:]], len(run))
+                blocks = spans(volume)
+            else:
+                blocks = spans(degrees[run] + 1, BLOCK)
+            for lo, hi in blocks:
+                b0, b1 = first + lo, first + hi  # the block's rows
+                u = ids[indptr[b0]:indptr[b1]]
+                owner = np.arange(hi - lo).repeat(np.diff(indptr[b0:b1 + 1]))
+                cu = snap.assignment[u]
+                tri = self._block_triangles(hi - lo, owner, u, cu, lists) if triangles else ()
+                self._steps(run[lo:hi].tolist(), self._counts(owner, pos[u], cu, b0, hi - lo),
+                            *tri)
         if snap.assigned_count == self.graph.n:  # the cut: every edge but the interior ones
             snap.cut_edges = self.graph.m - int(snap.cluster_internal_edges.sum())
         else:  # a prefix stream
@@ -262,7 +276,13 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
         bad = ids[(ok & first).argmin()]
         raise SnapshotError(f"vertex {bad} is "
                             + ("repeated" if 0 <= bad < g.n else f"outside [0, {g.n})"))
+
+    def lists():  # built on the first block run of (plan, g), freed with the plan
+        if g not in plan.earlier:
+            plan.earlier[g] = earlier_lists(g, seq)
+        return plan.earlier[g]
+
     t0 = time.perf_counter()
-    run._assign(seq)
+    run._assign(seq, lists)
     run.stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return run.snapshot, run.stats

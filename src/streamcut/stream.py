@@ -1,7 +1,8 @@
 """Vertex arrival orders for the streaming setting: random, BFS, DFS."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,11 +11,27 @@ from .graph import Graph
 ORDER_KINDS = ("random", "bfs", "dfs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamPlan:
+    """
+    An arrival order, frozen: the sequence is copied read-only unless it is a
+    read-only array that owns its data. Plans compare and hash by identity, like
+    graphs. earlier maps a graph to partitioner.earlier_lists of this stream over
+    it, kept by partition_stream for the plan's later runs and freed with the plan.
+    """
+
     order_kind: str
     seed: int
     sequence: np.ndarray  # distinct ids in [0, n); a prefix of an order is a legal stream
+    earlier: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
+                                               init=False, repr=False)
+
+    def __post_init__(self):
+        seq = self.sequence
+        if not (isinstance(seq, np.ndarray) and seq.flags.owndata and not seq.flags.writeable):
+            seq = np.array(seq)
+            seq.setflags(write=False)
+            object.__setattr__(self, "sequence", seq)
 
 
 def _linked(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,9 @@ import streamcut.bench as bench_mod
 from streamcut.bench import (BenchSpec, BenchSpecError, eval_assignment,
                              parse_bench_spec, read_assignment, run_bench,
                              write_assignment)
-from streamcut.generators import ClParams, HpParams, cl_i0, cl_weights, generate_hp
+from streamcut import partitioner
+from streamcut.generators import (ClParams, HpParams, cl_i0, cl_weights, generate_cl,
+                                  generate_hp)
 from streamcut.graph import from_edges, load_edge_list, save_edge_list
 from streamcut.metrics import (CSV_COLUMNS, aggregate_rows, error_row, evaluate_run,
                                result_to_row)
@@ -404,6 +406,34 @@ def test_bench_partitions_each_distinct_run_once(tmp_path, monkeypatch):
     ref = [CSV_COLUMNS] + ref + aggregate_rows(results)
     rt = CSV_COLUMNS.index("runtime_ms")
     assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
+
+
+def test_bench_builds_one_earlier_list_per_plan(tmp_path, monkeypatch):
+    """A file graph under 2 orders x k 8, 32 x fennel (two gammas), ldg, t: the 16 runs
+    build one earlier-neighbour list per plan, and each goes with its plan."""
+    built, plans, real = [], [], bench_mod.partition_stream
+    real_lists = partitioner.earlier_lists
+
+    def lists(g, seq):
+        built.append(len(plans))  # the plans made so far: the last one is building
+        return real_lists(g, seq)
+
+    def tracked(g, plan, *args, **kwargs):
+        if not plans or plans[-1]() is not plan:
+            plans.append(weakref.ref(plan))
+        return real(g, plan, *args, **kwargs)
+
+    monkeypatch.setattr(partitioner, "earlier_lists", lists)
+    monkeypatch.setattr(bench_mod, "partition_stream", tracked)
+    gp = tmp_path / "g.txt"
+    save_edge_list(generate_cl(ClParams(600, 2.5, seed=3)), gp)
+    p = tmp_path / "spec.txt"
+    p.write_text(f"graph = path:{gp}\nk = 8 32\ngamma = 1 1.5\norder = random bfs\n"
+                 f"heuristic = fennel ldg t\nseeds = 1\nout = {tmp_path / 'res.csv'}\n")
+    assert len(run_bench(parse_bench_spec(p))) == 2 * 2 * 2 * 3
+    assert built == [1, 2]
+    gc.collect()
+    assert [ref() for ref in plans] == [None, None]
 
 
 @pytest.mark.parametrize("gammas", ["1.5", "1 1.5"])

@@ -1,7 +1,9 @@
 import functools
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from streamcut import graph
 from streamcut.graph import from_edges, spans
 from streamcut.objective import (ObjectiveConfig, PartitionSnapshot, SnapshotError,
                                  build_snapshot, delta_g, marginal_cost, recount)
-from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun,
+from streamcut.partitioner import (HEURISTICS, TIE_POLICIES, PartitionRun, earlier_lists,
                                    partition_stream)
 from streamcut import partitioner
 from streamcut.stream import StreamPlan, make_stream
@@ -153,8 +155,13 @@ def brute_triangles(g, assignment, v, k):
 
 
 def triangle_counts(run, v):
-    """t_{S_i}(v) under the run's current assignment: v as a block of one arrival."""
-    return run._block_triangles(1, *run._earlier(np.array([v]), 0))[0][0]
+    """t_{S_i}(v) under the run's current assignment: v as a block of one arrival, after
+    every placed vertex, read off the lists' last row."""
+    placed = np.flatnonzero(run.snapshot.assignment >= 0)
+    lists = earlier_lists(run.graph, np.append(placed, v))
+    u = lists[2][lists[1][-2]:]
+    owner = np.zeros(len(u), dtype=np.int64)
+    return run._block_triangles(1, owner, u, run.snapshot.assignment[u], lists)[0][0]
 
 
 def place(run, vertices, clusters):
@@ -666,17 +673,74 @@ def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
     assert runs[0] == runs[1]
 
 
-def test_hash_builds_no_per_vertex_tables():
-    """Nor does a neighbour run whose arrivals all fall in blocks (cl2000, random order)."""
+def count_builds(monkeypatch):
+    """The streams partitioner.earlier_lists is called with, in order."""
+    built, real = [], partitioner.earlier_lists
+    monkeypatch.setattr(partitioner, "earlier_lists",
+                        lambda g, seq: built.append(seq) or real(g, seq))
+    return built
+
+
+def test_hash_builds_no_per_vertex_tables(monkeypatch):
+    """Nor any earlier-neighbour list; a neighbour run whose arrivals all fall in blocks
+    (cl2000, random order) allocates no table and builds one list, over its stream."""
+    built = count_builds(monkeypatch)
     g = random_gnp(60, 0.2, seed=8)
     run = PartitionRun(g, 4, "hash", CFG.resolve(g, 4), seed=1)
     run._assign(np.arange(g.n))
-    assert not {"_mark", "_load", "_indptr", "_table"} & set(vars(run))
+    assert not {"_load", "_indptr", "_table"} & set(vars(run)) and not built
     assert run.snapshot.assigned_count == g.n
     g, k = golden_graph("cl2000")
     run = PartitionRun(g, k, "fennel", CFG.resolve(g, k), seed=3)
-    run._assign(np.asarray(make_stream(g, "random", seed=3).sequence))
+    seq = np.asarray(make_stream(g, "random", seed=3).sequence)
+    run._assign(seq)
     assert "_table" not in vars(run) and run.snapshot.assigned_count == g.n
+    assert len(built) == 1 and np.array_equal(built[0], seq)
+
+
+def test_table_and_hash_runs_build_no_list(monkeypatch):
+    """A dense run that reads the (n, k) table and a hash run never ask for the list, so
+    partition_stream leaves their plan's memo empty."""
+    built = count_builds(monkeypatch)
+    g = generate_hp(HpParams(300, 4, 0.8, 0.5, seed=2))[0]  # about 120 entries an arrival
+    plan = make_stream(g, "random", seed=2)
+    for heuristic in ("fennel", "ldg", "hash"):
+        snap, _ = partition_stream(g, plan, 4, heuristic, CFG, seed=2)
+        assert snap.assigned_count == g.n
+    assert not built and not plan.earlier
+
+
+def test_the_list_is_built_once_per_plan_and_freed_with_it(monkeypatch):
+    """Block runs of every rule on one plan share one list, which equals a fresh build,
+    and which goes when the plan does."""
+    built = count_builds(monkeypatch)
+    g, k = golden_graph("cl2000")
+    plan = make_stream(g, "bfs", seed=5)
+    digests = [run_digest(*partition_stream(g, plan, k, h, CFG, seed=5))
+               for h in ("fennel", "ldg", "t", "et", "fennel")]
+    assert len(built) == 1 and list(plan.earlier) == [g]
+    lists = plan.earlier[g]
+    assert all(np.array_equal(a, b) for a, b in zip(lists, earlier_lists(g, plan.sequence)))
+    assert digests[0] == digests[-1]
+    refs = [weakref.ref(a) for a in lists]
+    del plan, lists
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_writing_to_the_callers_array_changes_no_run():
+    """A plan copies a writable sequence, so its memo cannot go stale: after the caller
+    reverses its array, the plan's runs are those of the original order."""
+    g, k = golden_graph("cl2000")
+    seq = np.array(make_stream(g, "random", seed=6).sequence)
+    plan = StreamPlan("random", 6, seq)
+    want = [run_digest(*partition_stream(g, plan, k, h, CFG, seed=6)) for h in ("ldg", "t")]
+    seq[:] = seq[::-1].copy()
+    assert [run_digest(*partition_stream(g, plan, k, h, CFG, seed=6))
+            for h in ("ldg", "t")] == want
+    fresh = make_stream(g, "random", seed=6)
+    assert [run_digest(*partition_stream(g, fresh, k, h, CFG, seed=6))
+            for h in ("ldg", "t")] == want
 
 
 def reference_scores(heuristic, signal, sizes, internal, cfg, n, k):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamcut.generators import ClParams, generate_cl
 from streamcut.graph import from_edges, restrict_to_lcc
-from streamcut.stream import ORDER_KINDS, make_stream
+from streamcut.stream import ORDER_KINDS, StreamPlan, make_stream
 from conftest import graph_from_pairs, random_gnp, several_components
 
 
@@ -222,3 +222,26 @@ def test_one_component_orders_are_pinned():
             for seed in range(3):
                 h.update(make_stream(g, kind, seed).sequence.astype("<i8").tobytes())
     assert h.hexdigest() == ONE_COMPONENT_ORDERS
+
+
+def test_plans_compare_and_hash_by_identity():
+    """Equal sequences do not make two plans one (an array's == is no truth value)."""
+    a, b = StreamPlan("random", 1, np.arange(3)), StreamPlan("random", 1, np.arange(3))
+    assert a == a and a != b and len({a, b, a}) == 2 and hash(a) != hash(b)
+
+
+def test_a_plan_freezes_its_sequence():
+    """A caller's array is copied read-only, so writing to it later leaves the plan as
+    it was; a read-only array that owns its data (make_stream's) is kept as it is."""
+    g = random_gnp(30, 0.2, seed=1)
+    seq = np.array(make_stream(g, "random", seed=1).sequence)
+    plan = StreamPlan("random", 1, seq)
+    seq[:] = seq[::-1].copy()
+    assert np.array_equal(plan.sequence, seq[::-1]) and not plan.sequence.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan.sequence[0] = 0
+    made = make_stream(g, "bfs", seed=1)
+    assert StreamPlan("bfs", 1, made.sequence).sequence is made.sequence
+    view = made.sequence[:10]  # read-only, but a view of another array
+    assert StreamPlan("bfs", 1, view).sequence is not view
+    assert StreamPlan("random", 1, [2, 0, 1]).sequence.tolist() == [2, 0, 1]
