@@ -16,7 +16,8 @@ from .graph import Graph, load_edge_list
 from .metrics import (CSV_COLUMNS, RunResult, aggregate_rows, error_row, evaluate_run,
                       measures, result_to_row)
 from .objective import AUTO, ObjectiveConfig, build_snapshot
-from .partitioner import HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, partition_stream
+from .partitioner import (HEURISTICS, READS_OBJECTIVE, TIE_POLICIES, Lockstep,
+                          partition_stream)
 from .stream import ORDER_KINDS, make_stream
 
 MATCH = "match"  # a generator's k that tracks the run's k
@@ -252,7 +253,9 @@ def _run_instance(spec: BenchSpec, gi: int, directive: tuple, kis, sis, cells: d
     objective; each lands in cells at its contract position as (CSV row,
     RunResult or None). A rule that reads no objective setting is partitioned
     once, at the first objective whose run succeeds, and that run is evaluated,
-    runtime_ms and threshold_violations included, for each later objective.
+    runtime_ms and threshold_violations included, for each later objective. The
+    neighbour-count runs of one order share passes over it (partitioner.Lockstep), each
+    reporting its even share of the pass's runtime_ms.
     """
     try:
         g, name = _instance(*directive, kis[0][1], sis[0][1], spec.lcc)
@@ -261,7 +264,13 @@ def _run_instance(spec: BenchSpec, gi: int, directive: tuple, kis, sis, cells: d
     for si, seed in sis:
         for ri, order in enumerate(spec.order_list):
             plan = None if g is None else make_stream(g, order, seed)
-            for (ki, k), (hi, heuristic) in itertools.product(kis, enumerate(spec.heuristic_list)):
+            runs = list(itertools.product(kis, enumerate(spec.heuristic_list)))
+            lockstep = Lockstep([  # the calls made below, unless one fails
+                (k, heuristic, config, seed, spec.tie_policy)
+                for (_, k), (_, heuristic) in runs
+                for config in (spec.objectives if heuristic in READS_OBJECTIVE
+                               else spec.objectives[:1])])
+            for (ki, k), (hi, heuristic) in runs:
                 run = None
                 for oi, config in enumerate(spec.objectives):
                     try:
@@ -270,7 +279,8 @@ def _run_instance(spec: BenchSpec, gi: int, directive: tuple, kis, sis, cells: d
                         # a config the run would fail to resolve fails alike in evaluate_run
                         if run is None or heuristic in READS_OBJECTIVE:
                             run = partition_stream(g, plan, k, heuristic, config, seed,
-                                                   tie_policy=spec.tie_policy)
+                                                   tie_policy=spec.tie_policy,
+                                                   lockstep=lockstep)
                         snap, stats = run
                         r = evaluate_run(g, name, snap, config, order, heuristic, seed,
                                          stats.runtime_ms, stats.threshold_violations)

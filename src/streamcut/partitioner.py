@@ -27,6 +27,17 @@ READS_OBJECTIVE = frozenset(h for h, (_, term, _) in _RULES.items() if term == "
 TIE_POLICIES = ("lowest_index", "min_load")
 BLOCK = 1 << 11  # entries per window of arrivals whose neighbours are counted together
 MIN_BLOCK = 32  # mean arrivals a run's windows need for that; a denser run reads a table
+# The rules a Lockstep pass scores together: those that weigh neighbour counts against a
+# load table (interior-edge fennel's charge depends on the counts, so it runs alone).
+LOCKSTEP_RULES = frozenset(h for h, (signal, _, _) in _RULES.items() if signal == "neighbors")
+LOCKSTEP_CELLS = 256  # most runs x clusters one pass scores: its counts are b x that floats
+LOCKSTEP_RUNS = 16  # most runs one pass makes: each holds an assignment and a load table
+
+
+def _reads_table(entries: int, arrivals: int) -> bool:
+    """Whether a neighbour-count run of arrivals with entries adjacency entries in all
+    reads the (n, k) table: its BLOCK windows would average under MIN_BLOCK arrivals."""
+    return (entries + arrivals) * MIN_BLOCK > BLOCK * arrivals
 
 
 def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) -> np.ndarray:
@@ -168,7 +179,7 @@ class PartitionRun:
             recount(snap)
             return
         triangles = self._signal == "triangles"
-        if not triangles and (entries + len(run)) * MIN_BLOCK > BLOCK * len(run):  # the table
+        if not triangles and _reads_table(entries, len(run)):
             self._table = np.zeros((self.graph.n, k), dtype=np.int32)
             self._steps(run.tolist())
         else:
@@ -191,9 +202,15 @@ class PartitionRun:
                 tri = self._block_triangles(hi - lo, owner, u, cu, lists) if triangles else ()
                 self._steps(run[lo:hi].tolist(), self._counts(owner, pos[u], cu, b0, hi - lo),
                             *tri)
-        if snap.assigned_count == self.graph.n:  # the cut: every edge but the interior ones
+        self._cut()
+
+    def _cut(self) -> None:
+        """The cut of a run's placed vertices: every edge but the interior ones once the
+        stream covers the graph, else (a prefix stream) a recount."""
+        snap = self.snapshot
+        if snap.assigned_count == self.graph.n:
             snap.cut_edges = self.graph.m - int(snap.cluster_internal_edges.sum())
-        else:  # a prefix stream
+        else:
             recount(snap)
 
     def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
@@ -249,9 +266,152 @@ class PartitionRun:
         snap.cluster_internal_edges[:] = internal
 
 
+def _lockstep(runs: list, seq: np.ndarray, lists) -> None:
+    """
+    Assign the stream seq under every run of runs at once, each as its _assign would by
+    blocks, its snapshot empty: per block one bincount of the (b, R, K) counts of its R
+    runs, K the largest k; per arrival one score matrix S = counts * W - C, where a
+    subtracting rule has W = 1 and C its charge, a multiplying rule W its charge and
+    C = 0, and balanced W = 0 and C its charge, and the clusters past a run's k score
+    -inf (W = 1, C = inf). x * 1.0 - C is x - C and x * W - 0.0 is x * W, while balanced's
+    0 * x - load differs from -load in the sign of a zero alone, which argmax and == do not
+    see: each run's picks, tie rule and charges are _steps' own. A block's picks are
+    written, and their interior edges counted, at its end: a row of counts is read at its
+    arrival's step and changed only before it.
+    """
+    g = runs[0].graph
+    R, K = len(runs), max(run.k for run in runs)
+    pos, indptr, ids = lists
+    W, C, S = np.ones((R, K)), np.full((R, K), np.inf), np.empty((R, K))
+    charges, loads = [], [run._load for run in runs]
+    for r, run in enumerate(runs):
+        multiply = run._op is np.multiply
+        charges.append(W[r] if multiply else C[r])
+        charges[r][:run.k] = run._load[0]
+        if multiply:
+            C[r, :run.k] = 0.0
+        elif run.heuristic == "balanced":
+            W[r, :run.k] = 0.0
+    sizes = [[0] * K for _ in runs]  # a run's clusters past its k are never picked
+    ties = [r for r, run in enumerate(runs) if run.tie_policy == "min_load"]
+    internal = np.zeros(R * K)
+    offsets = np.arange(R) * K  # run r's cells in a row of the flat counts
+    lens = g.degrees[seq]
+    for lo, hi in spans(lens + 1, BLOCK):
+        b = hi - lo
+        u = ids[indptr[lo]:indptr[hi]]
+        owner = np.arange(b).repeat(np.diff(indptr[lo:hi + 1]))
+        pu = pos[u]
+        before = pu < lo  # placed when the block starts, under every run alike
+        ub = u[before]
+        cells = np.stack([run.snapshot.assignment[ub] for run in runs])
+        cells += owner[before] * (R * K) + offsets[:, None]
+        flat = np.bincount(cells.ravel(), np.ones(cells.size), b * R * K)  # float64 alone
+        counts = flat.reshape(b, R, K)
+        q = pu[~before] - lo  # the earlier neighbour's place in the block
+        order = q.argsort()
+        later = (owner[~before][order] * (R * K))[:, None] + offsets  # later rows' cells
+        lstarts = np.searchsorted(q[order], np.arange(b + 1)).tolist()
+        picks = []
+        for j in range(b):
+            np.multiply(counts[j], W, out=S)
+            S -= C
+            pick = S.argmax(axis=1)
+            c = pick.tolist()
+            if ties:
+                last = S[:, ::-1].argmax(axis=1).tolist()
+                for r in ties:  # tie: lowest least loaded
+                    if last[r] != K - 1 - c[r]:
+                        Sr = S[r]
+                        c[r] = pick[r] = min((Sr == Sr[c[r]]).nonzero()[0].tolist(),
+                                             key=sizes[r].__getitem__)
+            for cr, size, charge, load in zip(c, sizes, charges, loads):
+                size[cr] += 1
+                charge[cr] = load[size[cr]]
+            if lstarts[j + 1] > lstarts[j]:  # the block's later neighbours gain one
+                flat[(later[lstarts[j]:lstarts[j + 1]] + pick).ravel()] += 1
+            picks.append(c)
+        picks = np.array(picks, dtype=np.int64).reshape(b, R)
+        picked = np.arange(b)[:, None] * (R * K) + offsets + picks
+        internal += np.bincount((offsets + picks).ravel(), flat[picked.ravel()], R * K)
+        for r, run in enumerate(runs):
+            run.snapshot.assignment[seq[lo:hi]] = picks[:, r]
+    internal = internal.astype(np.int64).reshape(R, K)  # exact: counts < 2**53
+    for r, run in enumerate(runs):
+        run.snapshot.cluster_vertex_counts[:] = sizes[r][:run.k]
+        run.snapshot.cluster_internal_edges[:] = internal[r, :run.k]
+        run.stats.neighbor_scans = int(lens.sum())
+        run._cut()
+
+
+def _call_key(k: int, heuristic: str, config: ObjectiveConfig, seed: int, tie_policy: str):
+    """What a partition_stream call's run depends on: the config only if the rule reads it."""
+    return k, heuristic, config if heuristic in READS_OBJECTIVE else None, seed, tie_policy
+
+
+class Lockstep:
+    """
+    Runs that partition_stream may make in one pass over one stream plan of one graph,
+    given as the (k, heuristic, config, seed, tie_policy) of their calls. Those of
+    LOCKSTEP_RULES (fennel with vertex sizes) are cut, in the given order, into batches
+    of two to LOCKSTEP_RUNS runs whose number times their largest k is at most
+    LOCKSTEP_CELLS. The first call made with this object for a run of a batch makes
+    every run of the batch, unless the plan's runs read the (n, k) table, and each call
+    takes its own run's result; every other call runs alone.
+    """
+
+    def __init__(self, calls):
+        self.batches, self.done, self.source = {}, {}, None
+        batch, seen = [], set()
+        for call in calls:
+            k, heuristic, config = call[:3]
+            key = _call_key(*call)
+            if heuristic not in LOCKSTEP_RULES or key in seen or (
+                    heuristic in READS_OBJECTIVE and config.size_mode != "vertex"):
+                continue
+            seen.add(key)
+            if len(batch) == LOCKSTEP_RUNS or (
+                    (len(batch) + 1) * max([k] + [c[0] for c in batch]) > LOCKSTEP_CELLS):
+                self._keep(batch)
+                batch = []
+            batch.append(call)
+        self._keep(batch)
+
+    def _keep(self, batch: list) -> None:
+        if len(batch) > 1:  # a batch of one runs alone: _steps is faster for it
+            for call in batch:
+                self.batches[_call_key(*call)] = batch
+
+    def _take(self, g: Graph, plan: StreamPlan, seq: np.ndarray, lists, key):
+        """The result of the run key over plan, made with its batch if it has one and the
+        plan's runs count by blocks; None if it runs alone."""
+        if self.source is None:
+            self.source = g, plan
+        elif self.source != (g, plan):
+            raise ValueError("a Lockstep makes the runs of one graph and stream plan")
+        batch = self.batches.get(key, ())
+        for call in batch:
+            del self.batches[_call_key(*call)]
+        runs = {}
+        if batch and not _reads_table(int(g.degrees[seq].sum()), len(seq)):
+            for call in batch:
+                try:
+                    runs[_call_key(*call)] = PartitionRun(g, *call)
+                except (ValueError, ArithmeticError):  # raised again by its own call
+                    continue
+        if len(runs) > 1:
+            t0 = time.perf_counter()
+            _lockstep(list(runs.values()), seq, lists())
+            runtime_ms = (time.perf_counter() - t0) * 1000.0 / len(runs)
+            for made, run in runs.items():
+                run.stats.runtime_ms = runtime_ms  # the pass's time, split evenly
+                self.done[made] = run.snapshot, run.stats
+        return self.done.pop(key, None)
+
+
 def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
                      config: ObjectiveConfig, seed: int,
-                     tie_policy: str = "lowest_index"):
+                     tie_policy: str = "lowest_index", lockstep: Lockstep | None = None):
     """
     Assign every vertex of the stream in one pass.
 
@@ -259,7 +419,11 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
     empty; otherwise SnapshotError names the problem before any vertex is
     assigned. Returns (snapshot, stats). Deterministic for identical
     (graph, plan, k, heuristic, config, seed, tie_policy); runtime covers
-    the assignment loop only.
+    the assignment loop only. Given a Lockstep of the plan's runs, a run of
+    one of its batches is made with the rest of its batch, in one pass, on
+    the first call for any of them, and its result is the same as a lone
+    run's; its runtime is then the pass's assignment loop divided by the
+    number of runs in it, so the batch's runtimes sum to the pass.
     """
     run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
     ids = np.asarray(plan.sequence)
@@ -282,6 +446,11 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
             plan.earlier[g] = earlier_lists(g, seq)
         return plan.earlier[g]
 
+    if lockstep is not None:
+        made = lockstep._take(g, plan, seq, lists, _call_key(k, heuristic, config, seed,
+                                                             tie_policy))
+        if made is not None:
+            return made
     t0 = time.perf_counter()
     run._assign(seq, lists)
     run.stats.runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -23,7 +25,7 @@ from streamcut.generators import (ClParams, HpParams, cl_i0, cl_weights, generat
 from streamcut.graph import from_edges, load_edge_list, save_edge_list
 from streamcut.metrics import (CSV_COLUMNS, aggregate_rows, error_row, evaluate_run,
                                result_to_row)
-from streamcut.objective import ObjectiveConfig
+from streamcut.objective import ObjectiveConfig, build_snapshot
 from streamcut.partitioner import HEURISTICS, partition_stream
 from streamcut.stream import make_stream
 from conftest import graph_from_pairs
@@ -406,6 +408,98 @@ def test_bench_partitions_each_distinct_run_once(tmp_path, monkeypatch):
     ref = [CSV_COLUMNS] + ref + aggregate_rows(results)
     rt = CSV_COLUMNS.index("runtime_ms")
     assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
+
+
+def test_bench_runs_share_a_lockstep_pass_per_plan(tmp_path, monkeypatch):
+    """On a sparse file graph every plan's 21 neighbour-count runs (fennel at two gammas,
+    balanced, dg, ldg, edg, nn, each at k 1, 3, 8) share two passes. partition_stream is
+    still called once per distinct run and returns snapshots equal to a rebuild, the rows
+    equal lone partition_stream + evaluate_run except runtime_ms, and a pass's rows each
+    report an even share of its assignment loop (a fake clock: 3 ms a run)."""
+    calls, snaps, passes = collections.Counter(), [], []
+    real, real_pass = bench_mod.partition_stream, partitioner._lockstep
+    clock = [0.0]
+
+    def counting(g, plan, k, heuristic, config, seed, **kwargs):
+        calls[k, heuristic, config.gamma if heuristic == "fennel" else None,
+              plan.order_kind] += 1
+        snap, stats = real(g, plan, k, heuristic, config, seed, **kwargs)
+        snaps.append(snap)
+        return snap, stats
+
+    def timed_pass(runs, *rest):
+        passes.append(len(runs))
+        real_pass(runs, *rest)
+        clock[0] += 0.003 * len(runs)
+
+    monkeypatch.setattr(bench_mod, "partition_stream", counting)
+    monkeypatch.setattr(partitioner, "_lockstep", timed_pass)
+    monkeypatch.setattr(partitioner, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    gp, out = tmp_path / "g.txt", tmp_path / "res.csv"
+    save_edge_list(generate_cl(ClParams(600, 2.5, seed=3)), gp)
+    p = tmp_path / "spec.txt"
+    p.write_text(f"graph = path:{gp}\nk = 1 3 8\ngamma = 1 1.5\nnu = 1.1\n"
+                 f"order = random bfs\nheuristic = {' '.join(HEURISTICS)}\nseeds = 1\n"
+                 f"tie_policy = min_load\nout = {out}\n")
+    spec = parse_bench_spec(p)
+    results = run_bench(spec)
+    monkeypatch.undo()
+
+    runs_per_plan = 3 * (len(HEURISTICS) + 1)  # per k: fennel at each gamma, the rest once
+    assert passes == [partitioner.LOCKSTEP_RUNS, 3 * 7 - partitioner.LOCKSTEP_RUNS] * 2
+    assert sum(calls.values()) == 2 * runs_per_plan and set(calls.values()) == {1}
+    g = load_edge_list(str(gp))
+    for snap in snaps:
+        ref = build_snapshot(snap.graph, snap.assignment, snap.k)
+        assert snap.cut_edges == ref.cut_edges
+        assert np.array_equal(snap.cluster_vertex_counts, ref.cluster_vertex_counts)
+        assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
+    batched = [r for r in results if r.heuristic in partitioner.LOCKSTEP_RULES]
+    assert {r.runtime_ms for r in batched} == {3.0}
+    assert {r.runtime_ms for r in results} - {3.0} == {0.0}  # the lone runs: no time passed
+
+    ref, lone = [], []
+    for k, config, order, heuristic in itertools.product(
+            spec.k_list, spec.objectives, spec.order_list, spec.heuristic_list):
+        snap, stats = partition_stream(g, make_stream(g, order, 1), k, heuristic, config, 1,
+                                       tie_policy="min_load")
+        lone.append(evaluate_run(g, str(gp), snap, config, order, heuristic, 1,
+                                 stats.runtime_ms, stats.threshold_violations))
+        ref.append(result_to_row(lone[-1]))
+    ref = [CSV_COLUMNS] + ref + aggregate_rows(lone)
+    rt = CSV_COLUMNS.index("runtime_ms")
+    assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
+
+
+def test_a_wide_spec_keeps_lockstep_counts_bounded(tmp_path, monkeypatch):
+    """A pass holds (block, runs, k) counts, so the runs of a plan are cut into passes of
+    at most LOCKSTEP_CELLS runs x clusters: on CL(2000) at k = 64, fennel at 16 gammas
+    and five more rules (21 runs) peak within 1.25x of fennel at 4 gammas (9 runs)."""
+    cells, real = [], partitioner._lockstep
+    monkeypatch.setattr(partitioner, "_lockstep", lambda runs, *rest: cells.append(
+        len(runs) * max(run.k for run in runs)) or real(runs, *rest))
+    gp = tmp_path / "g.txt"
+    save_edge_list(generate_cl(ClParams(2000, 2.5, seed=3)), gp)
+
+    def peak(gammas):
+        p = tmp_path / "spec.txt"
+        p.write_text(f"graph = path:{gp}\nk = 64\ngamma = {' '.join(map(str, gammas))}\n"
+                     "heuristic = fennel balanced dg ldg edg nn\nseeds = 1\n"
+                     f"tie_policy = min_load\nout = {tmp_path / 'res.csv'}\n")
+        spec = parse_bench_spec(p)
+        run_bench(spec)  # imports and first-use allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            run_bench(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    narrow = peak([1 + i / 4 for i in range(4)])
+    wide = peak([1 + i / 16 for i in range(16)])
+    assert wide < 1.25 * narrow
+    assert cells == [4 * 64] * (2 * 2 + 2 * 5)  # 9 and 21 runs in passes of 4, each twice
 
 
 def test_bench_builds_one_earlier_list_per_plan(tmp_path, monkeypatch):

@@ -928,3 +928,90 @@ def test_only_the_objective_rules_read_the_objective():
 
     check()
     assert any(fennel_differs)
+
+
+# ---- lockstep ---------------------------------------------------------------
+
+LOCKSTEP_CALLS = st.lists(st.tuples(
+    st.sampled_from([1, 2, 3, 5, 8]),
+    st.sampled_from(sorted(partitioner.LOCKSTEP_RULES) + ["t", "hash"]),
+    st.builds(ObjectiveConfig, gamma=st.sampled_from([1.0, 1.5, 2.0]),
+              alpha=st.sampled_from(["auto", 0.1]), nu=st.sampled_from([math.inf, 1.1]),
+              size_mode=st.sampled_from(["vertex", "vertex", "interior_edge"]),
+              marginal_mode=st.sampled_from(["derivative", "discrete"])),
+    st.sampled_from(TIE_POLICIES)), min_size=1, max_size=12)
+
+
+def lockstep_key(k, heuristic, cfg, seed, tie):
+    """The run a call makes, with its config only if its rule reads one."""
+    return k, heuristic, cfg if heuristic in partitioner.READS_OBJECTIVE else None, seed, tie
+
+
+@pytest.mark.parametrize("bound, minimum", [(partitioner.BLOCK, partitioner.MIN_BLOCK),
+                                            (1, 0)])
+def test_lockstep_runs_equal_lone_runs(monkeypatch, bound, minimum):
+    """A Lockstep over mixed rules, k (1 included), tie policies, nu and marginal modes
+    makes each run as a lone partition_stream call does: assignment, sizes, interior
+    counts, cut, neighbor_scans and threshold_violations. On a graph with isolated
+    vertices, over whole and prefix plans of every order, at the default blocks and at
+    one arrival a block. Its distinct neighbour-count runs with vertex sizes share one
+    pass if there are two or more (here R * K <= 12 * 8 cells); t, hash and
+    interior-edge fennel run alone."""
+    monkeypatch.setattr(partitioner, "BLOCK", bound)
+    monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
+    passes, real = [], partitioner._lockstep
+    monkeypatch.setattr(partitioner, "_lockstep",
+                        lambda runs, *rest: passes.append(len(runs)) or real(runs, *rest))
+    g, _ = golden_graph("cl")
+    assert (g.degrees == 0).any()
+
+    @given(calls=LOCKSTEP_CALLS, order=st.sampled_from(["random", "bfs", "dfs"]),
+           prefix=st.booleans(), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def check(calls, order, prefix, seed):
+        seq = make_stream(g, order, seed).sequence
+        plan = StreamPlan(order, seed, seq[:len(seq) // 2] if prefix else seq)
+        calls = [(k, heuristic, cfg, seed, tie) for k, heuristic, cfg, tie in calls]
+        lockstep = partitioner.Lockstep(calls)
+        passes.clear()
+        for call in calls:
+            together = partition_stream(g, plan, *call[:4], tie_policy=call[4],
+                                        lockstep=lockstep)
+            alone = partition_stream(g, plan, *call[:4], tie_policy=call[4])
+            assert run_digest(*together) == run_digest(*alone), call
+        batched = {lockstep_key(*call) for call in calls
+                   if call[1] in partitioner.LOCKSTEP_RULES
+                   and (call[1] != "fennel" or call[2].size_mode == "vertex")}
+        assert passes == ([len(batched)] if len(batched) > 1 else [])
+
+    check()
+
+
+def test_lockstep_passes_stay_within_their_bounds(monkeypatch):
+    """Calls are cut, in order, into passes of at most LOCKSTEP_RUNS runs and LOCKSTEP_CELLS
+    runs x clusters: 40 runs at k = 1 then 5 at k = 64 make passes of 16, 16, 8 and 4
+    runs, and the last run at k = 64 runs alone."""
+    passes, real = [], partitioner._lockstep
+    monkeypatch.setattr(partitioner, "_lockstep",
+                        lambda runs, *rest: passes.append(len(runs)) or real(runs, *rest))
+    g, _ = golden_graph("cl")
+    plan = make_stream(g, "random", 1)
+    calls = [(k, "fennel", ObjectiveConfig(gamma=1 + i / 64), 1, "min_load")
+             for k, count in ((1, 40), (64, 5)) for i in range(count)]
+    lockstep = partitioner.Lockstep(calls)
+    for call in calls:
+        partition_stream(g, plan, *call[:4], tie_policy="min_load", lockstep=lockstep)
+    assert (partitioner.LOCKSTEP_RUNS, partitioner.LOCKSTEP_CELLS) == (16, 256)
+    assert passes == [16, 16, 8, 4]
+
+
+def test_a_lockstep_serves_one_plan():
+    """Its results are those of the plan it first ran over: another plan is refused."""
+    g, k = golden_graph("cl")
+    calls = [(k, h, CFG, 1, "min_load") for h in ("ldg", "nn")]
+    lockstep = partitioner.Lockstep(calls)
+    plan = make_stream(g, "random", 1)
+    partition_stream(g, plan, *calls[0][:4], tie_policy="min_load", lockstep=lockstep)
+    with pytest.raises(ValueError, match="one graph and stream plan"):
+        partition_stream(g, make_stream(g, "random", 1), *calls[1][:4], tie_policy="min_load",
+                         lockstep=lockstep)
