@@ -56,6 +56,25 @@ def _load_table(term: str, config: ObjectiveConfig, n: int, k: int, cap: float) 
     return load
 
 
+def _checked(g: Graph, k: int, heuristic: str, config: ObjectiveConfig,
+             tie_policy: str) -> ObjectiveConfig:
+    """The config a run of these arguments reads, resolved if its rule reads one, once the
+    arguments are checked as a PartitionRun checks them; nothing is allocated."""
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}")
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return config.resolve(g, k) if heuristic in READS_OBJECTIVE else config  # no other reads it
+
+
+def _lowest_least_loaded(scores: np.ndarray, c: int, sizes: list) -> int:
+    """The min_load pick among the clusters tied at the top score scores[c]: the lowest
+    index of those of least size."""
+    return min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
+
+
 @dataclass
 class StreamStats:
     runtime_ms: float = 0.0
@@ -90,20 +109,16 @@ class PartitionRun:
 
     def __init__(self, g: Graph, k: int, heuristic: str, config: ObjectiveConfig,
                  seed: int, tie_policy: str = "lowest_index"):
-        if heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}")
-        if tie_policy not in TIE_POLICIES:
-            raise ValueError(f"unknown tie policy {tie_policy!r}")
-        self.snapshot = PartitionSnapshot(g, k)  # checks k >= 1
+        self.config = _checked(g, k, heuristic, config, tie_policy)
+        self.snapshot = PartitionSnapshot(g, k)
         self.stats = StreamStats()
         self.graph = g
         self.k = k
         self.heuristic = heuristic
-        reads = heuristic in READS_OBJECTIVE
-        self.config = config.resolve(g, k) if reads else config  # no other rule reads it
         self.tie_policy = tie_policy
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._signal, term, self._op = _RULES[heuristic]
+        reads = heuristic in READS_OBJECTIVE
         if reads and self.config.size_mode == "interior_edge":
             term, self._signal = "none", "surplus"  # the charge depends on the counts
         self._degrees = g.degrees
@@ -171,7 +186,8 @@ class PartitionRun:
         arrival reads its counts off the run's (n, k) table and pushes its adjacency into it.
         A block reads its rows of earlier_lists: lists() gives them (partition_stream's memo,
         its snapshot empty), else they are built here over the vertices the snapshot places
-        already, then run, so a placed vertex counts as arriving before every arrival."""
+        already, then run, so a placed vertex counts as arriving before every arrival; the
+        table starts with the placed vertices' adjacency pushed into it."""
         k, snap, degrees = self.k, self.snapshot, self._degrees
         self.stats.neighbor_scans = entries = int(degrees[run].sum())
         if self._signal is None:  # hash: the seeded draws in arrival order
@@ -179,11 +195,16 @@ class PartitionRun:
             recount(snap)
             return
         triangles = self._signal == "triangles"
+        placed = np.flatnonzero(snap.assignment >= 0)
         if not triangles and _reads_table(entries, len(run)):
-            self._table = np.zeros((self.graph.n, k), dtype=np.int32)
+            self._table = table = np.zeros((self.graph.n, k), dtype=np.int32)
+            indptr, indices, lens = self.graph.indptr, self.graph.indices, degrees[placed]
+            for lo, hi in spans(lens):  # each placed vertex's neighbours gain one in its S_c
+                u = gather(indptr, indices, placed[lo:hi], lens[lo:hi])
+                c = snap.assignment[placed[lo:hi]].repeat(lens[lo:hi])
+                np.add.at(table, (u, c), np.int32(1))  # as _steps pushes
             self._steps(run.tolist())
         else:
-            placed = np.flatnonzero(snap.assignment >= 0)
             first = len(placed)  # the row of run[0]
             lists = lists() if lists else earlier_lists(self.graph, np.concatenate([placed, run]))
             pos, indptr, ids = lists
@@ -199,9 +220,13 @@ class PartitionRun:
                 u = ids[indptr[b0]:indptr[b1]]
                 owner = np.arange(hi - lo).repeat(np.diff(indptr[b0:b1 + 1]))
                 cu = snap.assignment[u]
-                tri = self._block_triangles(hi - lo, owner, u, cu, lists) if triangles else ()
-                self._steps(run[lo:hi].tolist(), self._counts(owner, pos[u], cu, b0, hi - lo),
-                            *tri)
+                if triangles:
+                    self._triangle_steps(run[lo:hi], owner, u,
+                                         *self._block_triangles(hi - lo, owner, u, cu, lists))
+                elif self._signal == "surplus":
+                    self._steps(run[lo:hi].tolist(), self._counts(owner, pos[u], cu, b0, hi - lo))
+                else:
+                    self._block_steps(run[lo:hi], *self._counts(owner, pos[u], cu, b0, hi - lo))
         self._cut()
 
     def _cut(self) -> None:
@@ -213,11 +238,11 @@ class PartitionRun:
         else:
             recount(snap)
 
-    def _steps(self, vertices: list, block=None, tri=None, pairs=None) -> None:
-        """The per-vertex step: read the neighbours' clusters (a row of the block's _counts
-        or of the run's table), score, pick, commit. Nothing else writes the snapshot in a
-        run but the cut, derived at its end: the counters are Python ints until the end of
-        the call, and charge[i] is load[|S_i|]."""
+    def _steps(self, vertices: list, block=None) -> None:
+        """The per-vertex step of the runs that read running counters: read the neighbours'
+        clusters (a row of the run's table, or, for interior-edge fennel, of the block's
+        _counts), score, pick, commit. The counters are Python ints until the end of the
+        call, and charge[i] is load[|S_i|]."""
         snap = self.snapshot
         k, op, load, config = self.k, self._op, self._load, self.config
         assignment, charge = snap.assignment, load[snap.cluster_vertex_counts]
@@ -229,30 +254,13 @@ class PartitionRun:
         else:
             base, later, lstarts = block
         min_load = self.tie_policy == "min_load"
-        starts, pu, pw = pairs or (None,) * 3
-        # no triangle at the block start and none closed in it: every cluster scores 0 or
-        # -0.0 (t's load is zeros, lt/et's finite), so all k tie and the pick is by load alone
-        zero = (~tri.any(axis=1)).tolist() if pairs else ()
         for j, v in enumerate(vertices):
             counts = table[v] if block is None else base[j]
-            closed = ()  # the clusters of the triangles v closes inside the block
-            if pairs and starts[j + 1] > starts[j]:
-                cu = assignment[pu[starts[j]:starts[j + 1]]]
-                closed = cu[cu == assignment[pw[starts[j]:starts[j + 1]]]]
-            if zero and zero[j] and not len(closed):  # as the tie below would pick
-                c = sizes.index(min(sizes)) if min_load else 0
-            else:
-                signal = counts
-                if tri is not None:
-                    signal = tri[j]
-                    if len(closed):
-                        signal = signal + np.bincount(closed, minlength=k)
-                if surplus:  # interior-edge fennel: the charge depends on the counts
-                    signal = delta_g(internal, config, signal)
-                scores = op(signal, charge)
-                c = int(scores.argmax())  # lowest index among ties
-                if min_load and scores[::-1].argmax() != k - 1 - c:  # tie: lowest least loaded
-                    c = min((scores == scores[c]).nonzero()[0].tolist(), key=sizes.__getitem__)
+            # interior-edge fennel: the charge depends on the counts
+            scores = op(delta_g(internal, config, counts) if surplus else counts, charge)
+            c = int(scores.argmax())  # lowest index among ties
+            if min_load and scores[::-1].argmax() != k - 1 - c:
+                c = _lowest_least_loaded(scores, c, sizes)
             assignment[v] = c
             sizes[c] += 1
             charge[c] = load[sizes[c]]
@@ -265,6 +273,67 @@ class PartitionRun:
         snap.cluster_vertex_counts[:] = sizes
         snap.cluster_internal_edges[:] = internal
 
+    def _block_steps(self, vertices: np.ndarray, base, later, lstarts) -> None:
+        """A neighbour-rule block, its counts from _counts: per arrival score its row of base,
+        pick, and add one to its later neighbours' rows at the pick. Nothing reads the
+        assignment or the interior counts in the block, and a row changes only before its
+        arrival reads it, so the picks are written, and their interior edges counted off
+        base, once, at the block's end."""
+        snap = self.snapshot
+        k, op, load = self.k, self._op, self._load
+        charge, sizes = load[snap.cluster_vertex_counts], snap.cluster_vertex_counts.tolist()
+        min_load = self.tie_policy == "min_load"
+        picks = []
+        for j, counts in enumerate(base):
+            scores = op(counts, charge)
+            c = int(scores.argmax())  # lowest index among ties
+            if min_load and scores[::-1].argmax() != k - 1 - c:
+                c = _lowest_least_loaded(scores, c, sizes)
+            picks.append(c)
+            sizes[c] += 1
+            charge[c] = load[sizes[c]]
+            for t in later[lstarts[j]:lstarts[j + 1]]:  # few: cheaper one by one
+                base[t, c] += 1
+        picks = np.array(picks, dtype=np.int64)
+        snap.assignment[vertices] = picks
+        snap.cluster_vertex_counts[:] = sizes
+        internal = np.bincount(picks, base[np.arange(len(picks)), picks], k)
+        snap.cluster_internal_edges += internal.astype(np.int64)  # exact: counts < 2**53
+
+    def _triangle_steps(self, vertices: np.ndarray, owner, u, tri, pairs) -> None:
+        """A t/lt/et block, its rows (j, u) of the lists and its signal from _block_triangles:
+        per arrival add the triangles it closes inside the block (closed, read off the picks
+        so far), score, pick. An arrival with no triangle at the block start and none closed
+        scores 0 or -0.0 in every cluster (t's load is zeros, lt/et's finite), so all k tie
+        and the pick is by load alone. Vertices never move, so each arrival's interior edges,
+        its earlier neighbours in its cluster, are counted once, at the block's end."""
+        snap = self.snapshot
+        k, op, load = self.k, self._op, self._load
+        assignment, charge = snap.assignment, load[snap.cluster_vertex_counts]
+        sizes = snap.cluster_vertex_counts.tolist()
+        min_load = self.tie_policy == "min_load"
+        starts, pu, pw = pairs
+        zero = (~tri.any(axis=1)).tolist()
+        for j, v in enumerate(vertices.tolist()):
+            closed = ()  # the clusters of the triangles v closes inside the block
+            if starts[j + 1] > starts[j]:
+                cu = assignment[pu[starts[j]:starts[j + 1]]]
+                closed = cu[cu == assignment[pw[starts[j]:starts[j + 1]]]]
+            if zero[j] and not len(closed):  # as the tie below would pick
+                c = sizes.index(min(sizes)) if min_load else 0
+            else:
+                signal = tri[j] + np.bincount(closed, minlength=k) if len(closed) else tri[j]
+                scores = op(signal, charge)
+                c = int(scores.argmax())  # lowest index among ties
+                if min_load and scores[::-1].argmax() != k - 1 - c:
+                    c = _lowest_least_loaded(scores, c, sizes)
+            assignment[v] = c
+            sizes[c] += 1
+            charge[c] = load[sizes[c]]
+        snap.cluster_vertex_counts[:] = sizes
+        cv = assignment[vertices][owner]
+        snap.cluster_internal_edges += np.bincount(cv[assignment[u] == cv], minlength=k)
+
 
 def _lockstep(runs: list, seq: np.ndarray, lists) -> None:
     """
@@ -275,7 +344,7 @@ def _lockstep(runs: list, seq: np.ndarray, lists) -> None:
     C = 0, and balanced W = 0 and C its charge, and the clusters past a run's k score
     -inf (W = 1, C = inf). x * 1.0 - C is x - C and x * W - 0.0 is x * W, while balanced's
     0 * x - load differs from -load in the sign of a zero alone, which argmax and == do not
-    see: each run's picks, tie rule and charges are _steps' own. A block's picks are
+    see: each run's picks, tie rule and charges are _block_steps' own. A block's picks are
     written, and their interior edges counted, at its end: a row of counts is read at its
     arrival's step and changed only before it.
     """
@@ -322,9 +391,7 @@ def _lockstep(runs: list, seq: np.ndarray, lists) -> None:
                 last = S[:, ::-1].argmax(axis=1).tolist()
                 for r in ties:  # tie: lowest least loaded
                     if last[r] != K - 1 - c[r]:
-                        Sr = S[r]
-                        c[r] = pick[r] = min((Sr == Sr[c[r]]).nonzero()[0].tolist(),
-                                             key=sizes[r].__getitem__)
+                        c[r] = pick[r] = _lowest_least_loaded(S[r], c[r], sizes[r])
             for cr, size, charge, load in zip(c, sizes, charges, loads):
                 size[cr] += 1
                 charge[cr] = load[size[cr]]
@@ -378,7 +445,7 @@ class Lockstep:
         self._keep(batch)
 
     def _keep(self, batch: list) -> None:
-        if len(batch) > 1:  # a batch of one runs alone: _steps is faster for it
+        if len(batch) > 1:  # a batch of one runs alone: _block_steps is faster for it
             for call in batch:
                 self.batches[_call_key(*call)] = batch
 
@@ -425,7 +492,7 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
     run's; its runtime is then the pass's assignment loop divided by the
     number of runs in it, so the batch's runtimes sum to the pass.
     """
-    run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
+    _checked(g, k, heuristic, config, tie_policy)  # a run of a batch is built by the batch
     ids = np.asarray(plan.sequence)
     if ids.shape == (0,):  # the empty stream, whatever dtype numpy gave [] (float64)
         ids = ids.astype(np.int64)
@@ -451,6 +518,7 @@ def partition_stream(g: Graph, plan: StreamPlan, k: int, heuristic: str,
                                                              tie_policy))
         if made is not None:
             return made
+    run = PartitionRun(g, k, heuristic, config, seed, tie_policy)
     t0 = time.perf_counter()
     run._assign(seq, lists)
     run.stats.runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -472,6 +472,28 @@ def test_bench_runs_share_a_lockstep_pass_per_plan(tmp_path, monkeypatch):
     assert [r[:rt] + r[rt + 1:] for r in read_csv(out)] == [r[:rt] + r[rt + 1:] for r in ref]
 
 
+def test_bench_builds_each_run_once(tmp_path, monkeypatch):
+    """A call whose run a lockstep pass makes builds no run of its own: on a sparse file
+    graph, with fennel at two gammas, balanced, ldg, nn, t and hash at k 3 and 8 over two
+    orders, one load table is made per distinct run (hash makes none), and two passes run."""
+    tables, passes = [], []
+    real_table, real_pass = partitioner._load_table, partitioner._lockstep
+    monkeypatch.setattr(partitioner, "_load_table",
+                        lambda *args: tables.append(args[0]) or real_table(*args))
+    monkeypatch.setattr(partitioner, "_lockstep",
+                        lambda runs, *rest: passes.append(len(runs)) or real_pass(runs, *rest))
+    gp = tmp_path / "g.txt"
+    save_edge_list(generate_cl(ClParams(600, 2.5, seed=3)), gp)
+    p = tmp_path / "spec.txt"
+    p.write_text(f"graph = path:{gp}\nk = 3 8\ngamma = 1 1.5\norder = random bfs\n"
+                 "heuristic = fennel balanced ldg nn t hash\nseeds = 1\n"
+                 f"tie_policy = min_load\nout = {tmp_path / 'res.csv'}\n")
+    results = run_bench(parse_bench_spec(p))
+    assert len(results) == 2 * 2 * 2 * 6  # orders x gammas x k x rules
+    assert passes == [2 * 5] * 2  # fennel at two gammas, balanced, ldg and nn, k 3 and 8
+    assert len(tables) == 2 * 2 * 6  # orders x k x (fennel per gamma, balanced, ldg, nn, t)
+
+
 def test_a_wide_spec_keeps_lockstep_counts_bounded(tmp_path, monkeypatch):
     """A pass holds (block, runs, k) counts, so the runs of a plan are cut into passes of
     at most LOCKSTEP_CELLS runs x clusters: on CL(2000) at k = 64, fennel at 16 gammas

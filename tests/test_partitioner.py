@@ -525,13 +525,17 @@ NEIGHBOUR_LABELS = ("fennel", "fennel/interior_edge", "ldg", "edg", "dg", "nn", 
 
 
 def record_steps(monkeypatch):
-    """The engine's calls of the step, in order: the block size, or None for arrivals that
-    read the table, with their number."""
+    """The engine's calls of a neighbour-count step, in order: the block size, or None for
+    arrivals that read the table, with their number. Interior-edge fennel's blocks and
+    every table run go through _steps, the other rules' blocks through _block_steps."""
     calls = []
-    steps = PartitionRun._steps
-    monkeypatch.setattr(PartitionRun, "_steps", lambda run, vertices, block=None, *rest:
+    steps, block_steps = PartitionRun._steps, PartitionRun._block_steps
+    monkeypatch.setattr(PartitionRun, "_steps", lambda run, vertices, block=None:
                         calls.append((None if block is None else len(vertices), len(vertices)))
-                        or steps(run, vertices, block, *rest))
+                        or steps(run, vertices, block))
+    monkeypatch.setattr(PartitionRun, "_block_steps", lambda run, vertices, *block:
+                        calls.append((len(vertices), len(vertices)))
+                        or block_steps(run, vertices, *block))
     return calls
 
 
@@ -671,6 +675,100 @@ def test_neighbours_placed_inside_a_block(monkeypatch, heuristic):
         assert np.array_equal(snap.cluster_internal_edges, ref.cluster_internal_edges)
         runs.append(run_digest(snap, stats))
     assert runs[0] == runs[1]
+
+
+def record_engines(monkeypatch):
+    """The names of the step methods a run calls, table runs as "table"."""
+    called = set()
+
+    def spy(name):
+        real = getattr(PartitionRun, name)
+        return lambda run, vertices, *rest: called.add(
+            "table" if name == "_steps" and not rest else name) or real(run, vertices, *rest)
+
+    for name in ("_steps", "_block_steps", "_triangle_steps"):
+        monkeypatch.setattr(PartitionRun, name, spy(name))
+    return called
+
+
+def test_a_table_run_counts_the_vertices_placed_before_it(monkeypatch):
+    """HP(200, 4, .8, .5) is dense, so fennel reads the (n, k) table; with vertices 0-99
+    placed before the run, the table starts with their adjacency: the picks equal those of
+    one-arrival blocks, and the counters a rebuild."""
+    g = generate_hp(HpParams(200, 4, 0.8, 0.5, seed=1))[0]
+    engines = record_engines(monkeypatch)
+    picks = []
+    for bound, minimum, engine in ((partitioner.BLOCK, partitioner.MIN_BLOCK, "table"),
+                                   (1, 0, "_block_steps")):
+        monkeypatch.setattr(partitioner, "BLOCK", bound)
+        monkeypatch.setattr(partitioner, "MIN_BLOCK", minimum)
+        run = PartitionRun(g, 4, "fennel", CFG.resolve(g, 4), seed=1)
+        place(run, np.arange(100), np.arange(100) % 4)
+        run._assign(np.arange(100, 200))
+        assert engines == {engine}
+        engines.clear()
+        ref = build_snapshot(g, run.snapshot.assignment, 4)
+        assert run.snapshot.cut_edges == ref.cut_edges
+        assert np.array_equal(run.snapshot.cluster_vertex_counts, ref.cluster_vertex_counts)
+        assert np.array_equal(run.snapshot.cluster_internal_edges, ref.cluster_internal_edges)
+        picks.append(run.snapshot.assignment)
+    assert np.array_equal(*picks)
+
+
+ENGINE_LABELS = tuple(HEURISTICS) + ("fennel/interior_edge",)
+
+
+@given(n=st.integers(2, 40), p=st.floats(0.0, 0.6), graph_seed=st.integers(0, 100),
+       k=st.integers(1, 6), label=st.sampled_from(ENGINE_LABELS),
+       order=st.sampled_from(["random", "bfs", "dfs"]), tie=st.sampled_from(TIE_POLICIES),
+       placed=st.floats(0.0, 1.0), end=st.sampled_from([None, 0.5, 0.8]),
+       seed=st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_every_engine_makes_the_same_run(n, p, graph_seed, k, label, order, tie, placed,
+                                         end, seed):
+    """A run from a snapshot that places the first part of an order already, over the
+    rest of it (or a prefix of the rest): its default blocks, one-arrival blocks and, for
+    a neighbour-count rule, table rows give the same picks and counters, which equal a
+    recount. Each engine takes its own step: neighbour blocks _block_steps (interior-edge
+    fennel _steps), triangle blocks _triangle_steps, table rows _steps, hash none."""
+    g = random_gnp(n, p, seed=graph_seed)
+    heuristic, cfg = GOLDEN_CONFIGS[label]
+    seq = make_stream(g, order, seed).sequence
+    first = round(placed * g.n)
+    last = g.n if end is None else max(first, round(end * g.n))
+    clusters = np.random.default_rng(seed).integers(k, size=first)
+    triangles = heuristic in ("t", "lt", "et")
+    engines = [(partitioner.BLOCK, partitioner.MIN_BLOCK, graph.SPAN), (1, 0, 1)]
+    if heuristic != "hash" and not triangles:
+        engines.append((partitioner.BLOCK, partitioner.BLOCK + 1, graph.SPAN))
+    with pytest.MonkeyPatch.context() as mp:
+        called, digests = record_engines(mp), set()
+        for bound, minimum, span in engines:
+            mp.setattr(partitioner, "BLOCK", bound)
+            mp.setattr(partitioner, "MIN_BLOCK", minimum)
+            mp.setattr(graph, "SPAN", span)
+            run = PartitionRun(g, k, heuristic, cfg.resolve(g, k), seed=seed, tie_policy=tie)
+            place(run, seq[:first], clusters)
+            run._assign(np.asarray(seq[first:last]))
+            ref = PartitionSnapshot(g, k)
+            ref.assignment[:] = run.snapshot.assignment
+            recount(ref)
+            assert run.snapshot.cut_edges == ref.cut_edges
+            assert np.array_equal(run.snapshot.cluster_vertex_counts, ref.cluster_vertex_counts)
+            assert np.array_equal(run.snapshot.cluster_internal_edges,
+                                  ref.cluster_internal_edges)
+            digests.add(run_digest(run.snapshot, run.stats))
+            if heuristic == "hash" or first == last:
+                want = set()
+            elif minimum > partitioner.BLOCK:
+                want = {"table"}
+            elif triangles:
+                want = {"_triangle_steps"}
+            else:
+                want = {"_steps" if label == "fennel/interior_edge" else "_block_steps"}
+            assert called == want, (label, minimum)
+            called.clear()
+        assert len(digests) == 1
 
 
 def count_builds(monkeypatch):
